@@ -19,8 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hankel import build_rectangular_hankel
-from .rank import RankPolicy, condition_number, default_policy, numerical_rank, singular_values
+from .rank import RankPolicy, _svd_spectrum, condition_number, default_policy, numerical_rank
 from .signals import Signal
 
 __all__ = [
@@ -49,6 +48,10 @@ METHOD_AIC = "aic"
 METHOD_COVDET = "covariance_determinant"
 
 RSS_FLOOR = 1e-300
+
+# A sweep takes the one-QR path once H_{n_max}^T has at least this many
+# rows per column; below it the dense per-n SVDs are as fast.
+_TALL_ROWS_PER_COL = 16
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,45 @@ class CovDetReport:
     per_order: tuple[tuple[int, float], ...]  # (m, det)
 
 
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """Read-only zero-copy view of every length-``width`` window of the
+    contiguous 1-D array x: entry (i, j) = x[i + j].
+
+    The same view as ``sliding_window_view``, built without its
+    ``__array_interface__`` round trip, after which NumPy kept about
+    1 MiB more memory over a few thousand short sweeps.
+    """
+    step = x.strides[0]
+    view = np.ndarray((x.size - width + 1, width), x.dtype, x, 0, (step, step))
+    view.flags.writeable = False
+    return view
+
+
+def _sweep_matrices(y: np.ndarray, n_max: int, columns: str):
+    """(shape, matrix) for n = 2..n_max: shape is that of the n-row sweep
+    matrix, and matrix has its singular values.
+
+    Dense path: a zero-copy window view of the n x cols Hankel matrix.
+    Tall path ("all" columns, L - n_max + 1 >= 16 n_max rows): with
+    W = H_{n_max}^T = QR, H_n^T stacks W[:, :n] on the n_max - n trailing
+    windows; Q has orthonormal columns, so H_n shares its singular values
+    with the (2 n_max - n) x n matrix [R[:, :n]; trailing windows].
+    """
+    rows = y.size - n_max + 1
+    # padded[k] = y[k] for k < L and 0 beyond, so windows may run past the end
+    padded = np.concatenate([y, np.zeros(n_max)])
+    if columns == "all" and rows >= _TALL_ROWS_PER_COL * n_max:
+        r = np.linalg.qr(_windows(y, n_max), mode="r")
+        stacked = np.vstack([r, _windows(padded[rows:], n_max)[: n_max - 1]])
+        for n in range(2, n_max + 1):
+            yield (n, y.size - n + 1), stacked[: 2 * n_max - n, :n]
+    else:
+        windows = _windows(padded, y.size)  # windows[i, j] = y[i + j] while i + j < L
+        for n in range(2, n_max + 1):
+            cols = n if columns == "square" else y.size - n + 1
+            yield (n, cols), windows[:n, :cols]
+
+
 def hokalman_order(
     signal: Signal,
     n_max: int,
@@ -135,6 +177,13 @@ def hokalman_order(
     inconclusive and the full sweep is returned for inspection.  The
     default policy is the per-matrix relative threshold
     max(rows, cols) * eps.
+
+    Long signals (``columns="all"`` and L - n_max + 1 >= 16 n_max)
+    factor H_{n_max}^T once by Householder QR and take each spectrum from
+    a small (2 n_max - n) x n matrix with the same singular values;
+    everything else runs one dense SVD per n.  Both paths give the same
+    ranks, but rounding-level ``gap`` and ``condition`` values from the
+    QR path can differ from the dense ones in the last bits.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -148,13 +197,11 @@ def hokalman_order(
             f"requires 2n - 1 = {2 * n_max - 1}"
         )
     points = []
-    for n in range(2, n_max + 1):
-        cols = n if columns == "square" else len(signal) - n + 1
-        mat = build_rectangular_hankel(signal, n, cols)
-        spectrum = singular_values(mat.entries)
-        pol = policy if policy is not None else default_policy(mat.shape)
+    for shape, mat in _sweep_matrices(signal.samples, n_max, columns):
+        spectrum = _svd_spectrum(mat, shape)
+        pol = policy if policy is not None else default_policy(shape)
         res = numerical_rank(spectrum, pol)
-        points.append(SweepPoint(n, res.rank, res.decision_gap, condition_number(spectrum)))
+        points.append(SweepPoint(shape[0], res.rank, res.decision_gap, condition_number(spectrum)))
     sweep = RankSweep(tuple(points))
     ranks = sweep.ranks
     tail = ranks[-plateau_len:]

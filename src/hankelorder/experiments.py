@@ -320,11 +320,25 @@ def list_experiments() -> list[tuple[str, str, dict]]:
     return [(e.name, e.description, dict(e.defaults)) for e in _REGISTRY.values()]
 
 
+def _coerce(key: str, default, value):
+    """Cast an override to its default's type; a lossy cast (8.7 for an
+    integer parameter) or an unparsable string is rejected."""
+    kind = type(default)
+    try:
+        cast = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        cast = None
+    if cast is None or (not isinstance(value, str) and cast != value):
+        raise ValueError(f"parameter {key} expects {kind.__name__}, got {value!r}")
+    return cast
+
+
 def run_experiment(spec: ExperimentSpec, output_path: str | Path) -> ExperimentSummary:
     """Run a registered experiment and write its CSV artifact.
 
     Unknown experiment names and unknown parameter overrides are
-    rejected with the list of valid choices.
+    rejected with the list of valid choices; an override or seed that
+    does not round-trip through its default's type is rejected too.
     """
     if spec.name not in _REGISTRY:
         known = ", ".join(_REGISTRY)
@@ -338,8 +352,8 @@ def run_experiment(spec: ExperimentSpec, output_path: str | Path) -> ExperimentS
         )
     params = dict(exp.defaults)
     for key, value in spec.parameters.items():
-        params[key] = type(exp.defaults[key])(value)
-    seed = exp.default_seed if spec.seed is None else int(spec.seed)
+        params[key] = _coerce(key, exp.defaults[key], value)
+    seed = exp.default_seed if spec.seed is None else _coerce("seed", exp.default_seed, spec.seed)
 
     headline, sections = exp.runner(params, seed)
 

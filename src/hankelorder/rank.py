@@ -140,8 +140,17 @@ def singular_values(matrix) -> SingularSpectrum:
         raise ValueError("matrix must be 2-D and non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    vals = np.linalg.svd(arr, compute_uv=False)
-    return SingularSpectrum(vals, arr.shape)
+    return _svd_spectrum(arr, arr.shape)
+
+
+def _svd_spectrum(matrix: np.ndarray, shape: tuple[int, int]) -> SingularSpectrum:
+    """LAPACK singular values of a finite float matrix, unchecked.
+
+    ``shape`` is recorded as the source shape; it may differ from
+    ``matrix.shape`` when the matrix is a smaller stand-in with the same
+    singular values (the tall rank sweep).
+    """
+    return SingularSpectrum(np.linalg.svd(matrix, compute_uv=False), shape)
 
 
 def _gap_at(values: np.ndarray, rank: int) -> float:

@@ -413,22 +413,50 @@ def read_signal_csv(path: str | Path) -> Signal:
     """Load a signal written by :func:`write_signal_csv`.
 
     Pair files (``n,y,u``) are accepted too; the output column ``y`` is
-    loaded.  Comment lines starting with ``#`` are skipped.
+    loaded.  Comment lines starting with ``#`` are skipped.  Every data
+    row must hold one number per header field, the ``n`` column must run
+    0..L-1 and the loaded value must be finite; a bad row raises
+    ValueError naming the file and line.
     """
     path = Path(path)
     rows = [
-        line.strip()
-        for line in path.read_text(encoding="utf-8").splitlines()
+        (lineno, line.strip())
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if line.strip() and not line.startswith("#")
     ]
     if not rows:
         raise ValueError(f"{path}: empty signal file")
-    header = [c.strip() for c in rows[0].split(",")]
-    if header[:2] == ["n", "value"]:
-        col = 1
-    elif header[:2] == ["n", "y"]:
-        col = 1
-    else:
-        raise ValueError(f"{path}: expected header 'n,value' or 'n,y,u', got {rows[0]!r}")
-    values = [float(r.split(",")[col]) for r in rows[1:]]
-    return Signal(samples=np.asarray(values), provenance=f"loaded:{path.name}")
+    header = [c.strip() for c in rows[0][1].split(",")]
+    if header[:2] not in (["n", "value"], ["n", "y"]):
+        raise ValueError(f"{path}: expected header 'n,value' or 'n,y,u', got {rows[0][1]!r}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows")
+    data = rows[1:]
+    try:
+        table = np.loadtxt([text for _, text in data], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if (
+        table is None
+        or table.shape[1] != len(header)
+        or not np.array_equal(table[:, 0], np.arange(len(data)))
+        or not np.isfinite(table[:, 1]).all()
+    ):
+        raise _bad_row(path, data, header)
+    return Signal(samples=table[:, 1], provenance=f"loaded:{path.name}")
+
+
+def _bad_row(path: Path, data: list[tuple[int, str]], header: list[str]) -> ValueError:
+    """The error for the first data row that is not n followed by numbers
+    (one per header field) with a finite loaded value."""
+    for index, (lineno, text) in enumerate(data):
+        try:
+            numbers = list(map(float, text.split(",")))
+        except ValueError:
+            numbers = []
+        if len(numbers) != len(header) or numbers[0] != index or not math.isfinite(numbers[1]):
+            return ValueError(
+                f"{path}:{lineno}: bad row {text!r}: expected {len(header)} numeric fields, "
+                f"n = {index} and a finite {header[1]}"
+            )
+    return ValueError(f"{path}: unreadable signal data")

@@ -61,6 +61,17 @@ class TestRank:
         assert code == 0
         assert capsys.readouterr().out.strip() == "order=1"
 
+    @pytest.mark.parametrize("row", ["1", "1,abc", "5,1.0"])
+    def test_malformed_csv_exits_two_with_one_line(self, tmp_path, capsys, row):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"n,value\n0,1.0\n{row}\n", encoding="utf-8")
+        code = main(["rank", str(src), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:3: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
     def test_single_n_rank(self, tmp_path, capsys):
         src = _y5_csv(tmp_path)
         code = main(["rank", str(src), "--n", "8", "--out", str(tmp_path / "o.csv")])
@@ -129,6 +140,13 @@ class TestExperiment:
         code = main(["experiment", "fig2_first_order", "--warp", "9", "--out",
                      str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_lossy_override_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["experiment", "fig2_first_order", "--n-max", "8.7", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: parameter n_max expects int, got 8.7\n"
+        assert not out.exists()
 
     def test_identical_invocations_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

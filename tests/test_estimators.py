@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from hankelorder import estimators
 from hankelorder import (
     exact_rank_rational,
     rational_hankel,
@@ -24,9 +26,11 @@ from hankelorder import (
     ar_fit,
     covariance_determinants,
     covdet_order,
+    gen_high_order,
     gen_mode_sum,
     gen_y5,
     hokalman_order,
+    list_experiments,
     plateau_onset,
     write_aic_csv,
     write_covdet_csv,
@@ -98,6 +102,79 @@ class TestHokalmanOrder:
             est_base, _ = hokalman_order(base, 8)
             est_off, _ = hokalman_order(add_offset(base, shift), 8)
             assert est_off.order == est_base.order + 1
+
+
+TALL_INPUTS = {
+    "y5_L2000": (lambda: gen_y5(2000), 12),
+    "y5_L20000": (lambda: gen_y5(20_000), 12),
+    "y5_L200000": (lambda: gen_y5(200_000), 8),
+    **{
+        f"y5_noisy_seed{seed}": (lambda seed=seed: add_noise(gen_y5(5000), NoiseSpec(1e-6, seed)), 20)
+        for seed in range(5)
+    },
+    "fig4_family": (lambda: gen_high_order("sinusoid", 50, 1100, 1), 60),
+    "fig5_family": (lambda: gen_high_order("exponential", 50, 1100, 1), 60),
+}
+POLICIES = [None, RankPolicy.absolute(1e-8), RankPolicy.gap()]
+
+
+def _is_tall(count: int, n_max: int) -> bool:
+    return count - n_max + 1 >= estimators._TALL_ROWS_PER_COL * n_max
+
+
+def _dense_sweep(signal, n_max, policy, monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "_TALL_ROWS_PER_COL", 10**9)
+        return hokalman_order(signal, n_max, policy, **kwargs)[1]
+
+
+class TestTallSweep:
+    @pytest.mark.parametrize("name", TALL_INPUTS)
+    def test_tall_path_matches_dense_path(self, name, monkeypatch):
+        build, n_max = TALL_INPUTS[name]
+        signal = build()
+        y, count = signal.samples, len(signal)
+        assert _is_tall(count, n_max)
+        hankels = {n: sliding_window_view(y, count - n + 1) for n in range(2, n_max + 1)}
+        for (n, _), small in estimators._sweep_matrices(y, n_max, "all"):
+            dense = np.linalg.svd(hankels[n], compute_uv=False)
+            tall = np.linalg.svd(small, compute_uv=False)
+            assert np.max(np.abs(tall - dense)) <= 1e-13 * dense[0], n
+        for policy in POLICIES:
+            _, tall = hokalman_order(signal, n_max, policy)
+            assert tall.ranks == _dense_sweep(signal, n_max, policy, monkeypatch).ranks
+            if policy is None:
+                assert tall.ranks == [np.linalg.matrix_rank(h) for h in hankels.values()]
+            elif policy.kind == "absolute_threshold":
+                assert tall.ranks == [np.linalg.matrix_rank(h, tol=policy.value) for h in hankels.values()]
+
+    def test_exact_dyadic_modes_match_rational_oracle(self):
+        modes = [(1, Fraction(1, 2)), (1, Fraction(-3, 4)), (-2, Fraction(1, 4)), (1, Fraction(7, 8))]
+        count, n_max = 400, 8
+        assert _is_tall(count, n_max)
+        samples = rational_mode_sum(modes, count)
+        est, sweep = hokalman_order(Signal(np.array([float(s) for s in samples])), n_max)
+        exact = [
+            exact_rank_rational(rational_hankel(samples, n, count - n + 1))
+            for n in range(2, n_max + 1)
+        ]
+        assert sweep.ranks == exact == [2, 3, 4, 4, 4, 4, 4]
+        assert est.order == 4
+
+    def test_square_columns_stay_dense(self, monkeypatch):
+        signal = gen_y5(2000)
+        _, sweep = hokalman_order(signal, 12, columns="square")
+        assert sweep.points == _dense_sweep(signal, 12, None, monkeypatch, columns="square").points
+
+    def test_registered_experiments_stay_below_crossover(self):
+        # the committed experiment CSVs print rounding-level gap and
+        # condition values that only the dense path reproduces bit for bit
+        checked = 0
+        for name, _, defaults in list_experiments():
+            if "n_max" in defaults and "count" in defaults:
+                assert not _is_tall(defaults["count"], defaults["n_max"]), name
+                checked += 1
+        assert checked == 7
 
 
 class TestPlateauOnset:

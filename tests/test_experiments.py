@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from hankelorder import ExperimentSpec, list_experiments, run_experiment
@@ -12,6 +14,24 @@ EXPECTED_NAMES = [
     "offset_effect",
     "echelon_effect",
 ]
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "demos" / "out"
+GOLDEN_HEADLINES = {
+    "fig2_first_order": "order=1",
+    "fig3_pole_proximity": "q0=18",
+    "fig1_table1_y5": "order=5",
+    "fig4_high_order_sin": "order=18",
+    "fig5_high_order_exp": "order=11",
+    "sec33_nonhomogeneous": "rank=2;aug_bottom=2;aug_right=2",
+    "offset_effect": "offset_onset<=plain:50/50",
+    "echelon_effect": "svd_rank=10;echelon_rank=10",
+}
+# fig1's covdet determinants for m = 6..8 are rounding noise (about 1e-86
+# to 1e-121) whose digits and signs vary by platform; they only have to
+# stay below this floor.
+COVDET_NOISE_FLOOR = 1e-80
+COVDET_NOISE_ORDERS = {"6", "7", "8"}
 
 
 def parse_sections(text: str) -> dict[str, list[list[str]]]:
@@ -64,6 +84,59 @@ class TestRegistry:
             run_experiment(
                 ExperimentSpec("fig2_first_order", {"nope": 1}), tmp_path / "x.csv"
             )
+
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_max", 8.7), ("n_max", "eight"), ("q", "fast"), ("count", float("inf"))]
+    )
+    def test_override_must_round_trip_through_default_type(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"parameter {key} expects"):
+            run_experiment(ExperimentSpec("fig2_first_order", {key: value}), tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_fractional_seed_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="parameter seed expects int, got 3.7"):
+            run_experiment(ExperimentSpec("echelon_effect", seed=3.7), tmp_path / "x.csv")
+
+    def test_lossless_overrides_accepted(self, tmp_path):
+        path = tmp_path / "x.csv"
+        run_experiment(ExperimentSpec("fig2_first_order", {"n_max": 8.0, "q": 1, "count": "30"}), path)
+        text = path.read_text()
+        for line in ("# param n_max: 8", "# param q: 1", "# param count: 30"):
+            assert line in text.splitlines()
+
+
+def _split_covdet_noise(text: str) -> tuple[list[str], dict[str, float]]:
+    """(every line but fig1's covdet noise rows, {m: |det|} of those rows)."""
+    kept, noise, section = [], {}, None
+    for line in text.splitlines():
+        if line.startswith("# section: "):
+            section = line.removeprefix("# section: ")
+        m, _, det = line.partition(",")
+        if section == "covdet" and m in COVDET_NOISE_ORDERS:
+            noise[m] = abs(float(det))
+        else:
+            kept.append(line)
+    return kept, noise
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_regenerates_committed_artifact(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        summary = run_experiment(ExperimentSpec(name), out)
+        assert summary.headline == GOLDEN_HEADLINES[name]
+        fresh, golden = out.read_bytes(), (GOLDEN_DIR / f"{name}.csv").read_bytes()
+        if name != "fig1_table1_y5":
+            assert fresh == golden
+            return
+        (fresh_kept, fresh_noise), (golden_kept, golden_noise) = (
+            _split_covdet_noise(b.decode("utf-8")) for b in (fresh, golden)
+        )
+        assert fresh_kept == golden_kept
+        for noise in (fresh_noise, golden_noise):
+            assert set(noise) == COVDET_NOISE_ORDERS
+            assert max(noise.values()) < COVDET_NOISE_FLOOR
 
 
 class TestHeaders:

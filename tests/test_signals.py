@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,25 @@ class TestCsv:
         assert len(lines) == 6
         back = read_signal_csv(path)  # loads the y column
         assert np.array_equal(back.samples, y.samples)
+
+    @pytest.mark.parametrize("row", ["1", "1,", "1,abc", "1,2.0,3.0", "1,nan", "2,1.0", "x,1.0"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# comment\nn,value\n0,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad\.csv:4: bad row '{re.escape(row)}': .* n = 1 "):
+            read_signal_csv(path)
+
+    def test_pair_file_needs_numeric_input_column(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_text("n,y,u\n0,1.0,0.5\n1,2.0,\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pair\.csv:3: .*expected 3 numeric fields"):
+            read_signal_csv(path)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("n,value\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_signal_csv(path)
 
 
 @settings(max_examples=40, deadline=None)
