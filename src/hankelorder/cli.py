@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .estimators import (
+    RankSweep,
+    SweepPoint,
     aic_order,
     covariance_determinants,
     covdet_order,
@@ -23,7 +25,7 @@ from .estimators import (
 )
 from .experiments import ExperimentSpec, list_experiments, run_experiment
 from .hankel import build_hankel
-from .rank import RankPolicy, default_policy, numerical_rank, singular_values
+from .rank import RankPolicy, _decide, default_policy, singular_values
 from .signals import (
     Mode,
     ModeSum,
@@ -178,17 +180,11 @@ def _cmd_rank(args, config: CliConfig) -> int:
     signal = read_signal_csv(args.input)
     out = config.out or Path("rank_sweep.csv")
     if args.n is not None:
-        mat = build_hankel(signal, args.n)
-        spectrum = singular_values(mat.entries)
+        mat = build_hankel(signal, args.n).entries
         policy = config.policy or default_policy(mat.shape)
-        result = numerical_rank(spectrum, policy)
-        out.write_text(
-            "n,rank,gap,condition\n"
-            f"{args.n},{result.rank},{result.decision_gap:.17g},"
-            f"{(spectrum.values[0] / spectrum.values[-1] if spectrum.values[-1] else float('inf')):.17g}\n",
-            encoding="utf-8",
-        )
-        print(f"order={result.rank}")
+        [(rank, gap, cond)] = _decide(singular_values(mat).values[None], policy)
+        write_sweep_csv(RankSweep((SweepPoint(args.n, rank, gap, cond),)), out)
+        print(f"order={rank}")
         return 0
     estimate, sweep = hokalman_order(signal, args.n_max, config.policy)
     write_sweep_csv(sweep, out)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .rank import RankPolicy, _svd_spectrum, condition_number, default_policy, numerical_rank
+from .rank import RankPolicy, _decide, default_policy
 from .signals import Signal
 
 __all__ = [
@@ -54,7 +54,7 @@ RSS_FLOOR = 1e-300
 _TALL_ROWS_PER_COL = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     n: int
     rank: int
@@ -124,42 +124,75 @@ class CovDetReport:
 
 
 def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    """Read-only zero-copy view of every length-``width`` window of the
-    contiguous 1-D array x: entry (i, j) = x[i + j].
+    """Read-only zero-copy view of every length-``width`` window along the
+    last axis of the C-contiguous array x: entry [..., i, j] = x[..., i + j].
 
     The same view as ``sliding_window_view``, built without its
     ``__array_interface__`` round trip, after which NumPy kept about
     1 MiB more memory over a few thousand short sweeps.
     """
-    step = x.strides[0]
-    view = np.ndarray((x.size - width + 1, width), x.dtype, x, 0, (step, step))
+    step = x.strides[-1]
+    shape = x.shape[:-1] + (x.shape[-1] - width + 1, width)
+    view = np.ndarray(shape, x.dtype, x, 0, x.strides[:-1] + (step, step))
     view.flags.writeable = False
     return view
 
 
-def _sweep_matrices(y: np.ndarray, n_max: int, columns: str):
-    """(shape, matrix) for n = 2..n_max: shape is that of the n-row sweep
-    matrix, and matrix has its singular values.
+def _sweep_matrices(y: np.ndarray, n_max: int, columns: str, n_min: int = 2):
+    """(shape, matrices) for n = n_min..n_max, where y holds signals along its
+    last axis: shape is that of the n-row sweep matrix, and matrices holds,
+    for each signal, a matrix with its singular values.
 
-    Dense path: a zero-copy window view of the n x cols Hankel matrix.
+    Dense path: a zero-copy window view of the n x cols Hankel matrices.
     Tall path ("all" columns, L - n_max + 1 >= 16 n_max rows): with
     W = H_{n_max}^T = QR, H_n^T stacks W[:, :n] on the n_max - n trailing
     windows; Q has orthonormal columns, so H_n shares its singular values
     with the (2 n_max - n) x n matrix [R[:, :n]; trailing windows].
     """
-    rows = y.size - n_max + 1
-    # padded[k] = y[k] for k < L and 0 beyond, so windows may run past the end
-    padded = np.concatenate([y, np.zeros(n_max)])
+    size = y.shape[-1]
+    rows = size - n_max + 1
+    # padded[..., k] = y[..., k] for k < L and 0 beyond, so windows may run past the end
+    padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
     if columns == "all" and rows >= _TALL_ROWS_PER_COL * n_max:
         r = np.linalg.qr(_windows(y, n_max), mode="r")
-        stacked = np.vstack([r, _windows(padded[rows:], n_max)[: n_max - 1]])
-        for n in range(2, n_max + 1):
-            yield (n, y.size - n + 1), stacked[: 2 * n_max - n, :n]
+        trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
+        stacked = np.concatenate([r, trailing], axis=-2)
+        for n in range(n_min, n_max + 1):
+            yield (n, size - n + 1), stacked[..., : 2 * n_max - n, :n]
     else:
-        windows = _windows(padded, y.size)  # windows[i, j] = y[i + j] while i + j < L
-        for n in range(2, n_max + 1):
-            cols = n if columns == "square" else y.size - n + 1
-            yield (n, cols), windows[:n, :cols]
+        windows = _windows(padded, size)  # windows[..., i, j] = y[..., i + j] while i + j < L
+        for n in range(n_min, n_max + 1):
+            cols = n if columns == "square" else size - n + 1
+            yield (n, cols), windows[..., :n, :cols]
+
+
+def _rank_sweeps(
+    samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
+) -> list[RankSweep]:
+    """The rank sweep over n = n_min..n_max of each row of a (k, L) stack
+    of samples (k may be 0), with one LAPACK SVD call per n for the whole
+    stack.  A stacked SVD gives each matrix bit for bit the singular
+    values a call on that matrix alone gives.  ``policy`` None means the
+    per-matrix default policy."""
+    if n_min < 1:
+        raise ValueError("n_min must be >= 1")
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    if columns not in ("all", "square"):
+        raise ValueError("columns must be 'all' or 'square'")
+    size = samples.shape[-1]
+    if size < 2 * n_max - 1:
+        raise ValueError(
+            f"signal has {size} samples but a sweep to n = {n_max} "
+            f"requires 2n - 1 = {2 * n_max - 1}"
+        )
+    points: list[list[SweepPoint]] = [[] for _ in range(len(samples))]
+    for shape, matrices in _sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min):
+        spectra = np.linalg.svd(matrices, compute_uv=False)
+        decisions = _decide(spectra, policy if policy is not None else default_policy(shape))
+        for row, (rank, gap, cond) in zip(points, decisions):
+            row.append(SweepPoint(shape[0], rank, gap, cond))
+    return [RankSweep(tuple(row)) for row in points]
 
 
 def hokalman_order(
@@ -185,24 +218,9 @@ def hokalman_order(
     ranks, but rounding-level ``gap`` and ``condition`` values from the
     QR path can differ from the dense ones in the last bits.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
     if plateau_len < 1:
         raise ValueError("plateau_len must be >= 1")
-    if columns not in ("all", "square"):
-        raise ValueError("columns must be 'all' or 'square'")
-    if len(signal) < 2 * n_max - 1:
-        raise ValueError(
-            f"signal has {len(signal)} samples but a sweep to n = {n_max} "
-            f"requires 2n - 1 = {2 * n_max - 1}"
-        )
-    points = []
-    for shape, mat in _sweep_matrices(signal.samples, n_max, columns):
-        spectrum = _svd_spectrum(mat, shape)
-        pol = policy if policy is not None else default_policy(shape)
-        res = numerical_rank(spectrum, pol)
-        points.append(SweepPoint(shape[0], res.rank, res.decision_gap, condition_number(spectrum)))
-    sweep = RankSweep(tuple(points))
+    [sweep] = _rank_sweeps(signal.samples[None], n_max, columns, policy)
     ranks = sweep.ranks
     tail = ranks[-plateau_len:]
     conclusive = len(ranks) >= plateau_len and len(set(tail)) == 1

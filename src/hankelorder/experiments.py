@@ -10,22 +10,24 @@ written.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import mpmath
 import numpy as np
 
 from . import __version__
 from .estimators import (
+    _rank_sweeps,
     aic_order,
     covariance_determinants,
     hokalman_order,
     plateau_onset,
 )
 from .hankel import BOTTOM, RIGHT, build_augmented, build_hankel, build_rectangular_hankel, row_echelon
-from .rank import default_policy, numerical_rank, singular_values
+from .rank import _decide, default_policy, singular_values
 from .signals import Mode, ModeSum, NoiseSpec, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
 
 __all__ = ["ExperimentSpec", "ExperimentSummary", "list_experiments", "run_experiment"]
@@ -66,8 +68,13 @@ def _fmt(x) -> str:
 
 
 def _rank_of(entries: np.ndarray) -> int:
-    spectrum = singular_values(entries)
-    return numerical_rank(spectrum, default_policy(entries.shape)).rank
+    return _decide(singular_values(entries).values[None], default_policy(entries.shape))[0][0]
+
+
+def _stack(signals: Iterable, k: int, count: int) -> np.ndarray:
+    """(k, count) array of the samples of k signals, filled one signal at a
+    time so they are never all alive together; k may be 0."""
+    return np.fromiter((s.samples for s in signals), np.dtype((float, count)), count=k)
 
 
 def _sweep_rows(sweep) -> list[str]:
@@ -96,18 +103,24 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
     p = params["p"]
     count = params["count"]
     levels = [0.0, params["noise_rel_small"], params["noise_rel_large"]]
-    rows: list[str] = []
-    for level_idx, rel in enumerate(levels):
-        for q in range(params["q_min"], params["q_max"] + 1):
-            clean = gen_mode_sum(pole_pair_modes(p, q), count)
-            if rel > 0.0:
-                amp = rel * float(np.abs(clean.samples).max())
-                sig = add_noise(clean, NoiseSpec(amp, seed + 97 * q + level_idx))
-            else:
-                sig = clean
-            for n in range(params["n_min"], params["n_max"] + 1):
-                rank = _rank_of(build_hankel(sig, n).entries)
-                rows.append(f"{_fmt(rel)},{q},{n},{rank}")
+    qs = range(params["q_min"], params["q_max"] + 1)
+    cleans = {q: gen_mode_sum(pole_pair_modes(p, q), count) for q in qs}
+    grid = list(itertools.product(range(len(levels)), qs))
+
+    def signal(level_idx: int, q: int):
+        clean, rel = cleans[q], levels[level_idx]
+        if rel > 0.0:
+            amp = rel * float(np.abs(clean.samples).max())
+            return add_noise(clean, NoiseSpec(amp, seed + 97 * q + level_idx))
+        return clean
+
+    samples = _stack(itertools.starmap(signal, grid), len(grid), count)
+    sweeps = _rank_sweeps(samples, params["n_max"], "square", None, params["n_min"])
+    rows = [
+        f"{_fmt(levels[level_idx])},{q},{pt.n},{pt.rank}"
+        for (level_idx, q), sweep in zip(grid, sweeps)
+        for pt in sweep.points
+    ]
     # empirical q0: first q at which the noise-free rank at n_max drops below 2
     q0 = None
     for q in range(1, params["q_scan_max"] + 1):
@@ -146,24 +159,26 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
     the float64 quantization of the samples), so samples, matrices and
     spectra are all evaluated at ``dps`` decimal digits.
     """
-    terms = m * n0
     out = []
     with mpmath.workdps(dps):
-        count = 2 * max(n_values) - 1
+        # y[n] = (1/n0) sum_k lam_k^n with lam_k = e^(-1/k): one exp per term
+        lams = [mpmath.exp(mpmath.mpf(-1) / k) for k in range(1, m * n0 + 1)]
+        powers = [mpmath.mpf(1)] * len(lams)
         vals = []
-        for n in range(count):
-            acc = mpmath.mpf(0)
-            for k in range(1, terms + 1):
-                acc += mpmath.e ** (mpmath.mpf(-n) / k)
-            vals.append(acc / n0)
+        for _ in range(2 * max(n_values) - 1):
+            vals.append(mpmath.fsum(powers) / n0)
+            powers = [pw * lam for pw, lam in zip(powers, lams)]
         for n in n_values:
+            # the Hankel matrix is symmetric, so its singular values are |eigenvalues|
             mat = mpmath.matrix([[vals[i + j] for j in range(n)] for i in range(n)])
-            svals = mpmath.svd_r(mat, compute_uv=False)
-            out.append((n, float(svals[0] / svals[n - 1])))
+            svals = [abs(x) for x in mpmath.eigsy(mat, eigvals_only=True)]
+            out.append((n, float(max(svals) / min(svals))))
     return out
 
 
 def _run_fig5(params: dict, seed: int) -> tuple[str, list[Section]]:
+    if params["cond_n_max"] < 2:
+        raise ValueError("cond_n_max must be >= 2")
     signal = gen_high_order("exponential", params["n0"], params["count"], params["m"])
     est, sweep = hokalman_order(signal, params["n_max"])
     conds = _exp_family_conditions(
@@ -192,35 +207,47 @@ def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
 
 
 def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
+    if params["trials"] < 0:
+        raise ValueError("trials must be >= 0")
     count = params["count"]
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     shifted = add_offset(base, params["offset"])
-    n_max = params["n_max"]
-
-    sections: list[Section] = []
-    rows_free = []
-    for label, sig in (("plain", base), ("offset", shifted)):
-        _, sweep = hokalman_order(sig, n_max)
-        rows_free += [f"{label},{p.n},{p.rank}" for p in sweep.points]
-    sections.append(("noise_free_sweep", "variant,n,rank", rows_free))
-
     rms = float(np.sqrt(np.mean(base.samples**2)))
     amp = float(np.sqrt(3.0)) * rms / (10.0 ** (params["snr_db"] / 20.0))
+
+    def signals():
+        # the two noise-free signals, then a plain and an offset copy of
+        # each trial's noise
+        yield from (base, shifted)
+        for t in range(params["trials"]):
+            noise = NoiseSpec(amp, seed + t)
+            yield from (add_noise(base, noise), add_noise(shifted, noise))
+
+    samples = _stack(signals(), 2 + 2 * params["trials"], count)
+    sweeps = _rank_sweeps(samples, params["n_max"], "all", None)
+
+    rows_free = [
+        f"{label},{p.n},{p.rank}"
+        for label, sweep in (("plain", sweeps[0]), ("offset", sweeps[1]))
+        for p in sweep.points
+    ]
     rows_onsets = []
     favourable = 0
     for t in range(params["trials"]):
-        noise = NoiseSpec(amp, seed + t)
-        _, sw_plain = hokalman_order(add_noise(base, noise), n_max)
-        _, sw_off = hokalman_order(add_noise(shifted, noise), n_max)
-        on_p, on_o = plateau_onset(sw_plain), plateau_onset(sw_off)
+        on_p, on_o = plateau_onset(sweeps[2 + 2 * t]), plateau_onset(sweeps[3 + 2 * t])
         favourable += on_o <= on_p
         rows_onsets.append(f"{t},{on_p},{on_o}")
-    sections.append(("onsets", "trial,onset_plain,onset_offset", rows_onsets))
+    sections: list[Section] = [
+        ("noise_free_sweep", "variant,n,rank", rows_free),
+        ("onsets", "trial,onset_plain,onset_offset", rows_onsets),
+    ]
     headline = f"offset_onset<=plain:{favourable}/{params['trials']}"
     return headline, sections
 
 
 def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
+    if params["n_max"] < 2:
+        raise ValueError("n_max must be >= 2")
     count = params["count"]
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     rms = float(np.sqrt(np.mean(base.samples**2)))

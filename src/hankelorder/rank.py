@@ -58,10 +58,7 @@ class SingularSpectrum:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size != min(self.source_shape):
             raise ValueError("spectrum length must equal min(rows, cols)")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("singular values must be finite and >= 0")
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("singular values must be non-increasing")
+        _check_spectra(vals)
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -140,67 +137,65 @@ def singular_values(matrix) -> SingularSpectrum:
         raise ValueError("matrix must be 2-D and non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    return _svd_spectrum(arr, arr.shape)
+    return SingularSpectrum(np.linalg.svd(arr, compute_uv=False), arr.shape)
 
 
-def _svd_spectrum(matrix: np.ndarray, shape: tuple[int, int]) -> SingularSpectrum:
-    """LAPACK singular values of a finite float matrix, unchecked.
+def _check_spectra(spectra: np.ndarray) -> None:
+    """Reject spectra (one per row of the last axis) that are not finite,
+    >= 0 and non-increasing."""
+    if not np.all(np.isfinite(spectra)) or np.any(spectra < 0):
+        raise ValueError("singular values must be finite and >= 0")
+    if np.any(np.diff(spectra, axis=-1) > 0):
+        raise ValueError("singular values must be non-increasing")
 
-    ``shape`` is recorded as the source shape; it may differ from
-    ``matrix.shape`` when the matrix is a smaller stand-in with the same
-    singular values (the tall rank sweep).
+
+def _decide(spectra: np.ndarray, policy: RankPolicy) -> list[tuple[int, float, float]]:
+    """(rank, decision gap, condition) of each row of a (k, m) stack of
+    spectra under one policy.
+
+    The stack is checked once; each row is then decided on Python floats.
+    relative/absolute thresholds count values strictly above the cut, and
+    the gap is sigma_rank / sigma_(rank+1) (+inf at rank 0, full rank or
+    an exact zero below the cut).  gap_ratio picks the first largest
+    consecutive drop (0/0 counts as no drop) provided it reaches
+    min_ratio, and otherwise reports full rank with the best (failing)
+    gap.  An all-zero row has rank 0 and gap +inf.  The condition is
+    sigma_max / sigma_min, +inf when sigma_min = 0.
     """
-    return SingularSpectrum(np.linalg.svd(matrix, compute_uv=False), shape)
-
-
-def _gap_at(values: np.ndarray, rank: int) -> float:
-    """sigma_rank / sigma_(rank+1), +inf when the split is exact."""
-    if rank == 0 or rank >= values.size:
-        return math.inf
-    lo = values[rank]
-    return math.inf if lo == 0.0 else float(values[rank - 1] / lo)
+    _check_spectra(spectra)
+    kind, value = policy.kind, policy.value
+    out = []
+    for vals in spectra.tolist():
+        top, bottom, m = vals[0], vals[-1], len(vals)
+        cond = math.inf if bottom == 0.0 else top / bottom
+        if top == 0.0:
+            out.append((0, math.inf, cond))
+        elif kind == GAP:
+            best_i, best = None, 1.0
+            for i in range(m - 1):
+                hi, lo = vals[i], vals[i + 1]
+                ratio = 1.0 if hi == 0.0 else math.inf if lo == 0.0 else hi / lo
+                if ratio > best:
+                    best_i, best = i, ratio
+            rank = best_i + 1 if best_i is not None and best >= value else m
+            out.append((rank, best, cond))
+        else:
+            cut = value * top if kind == RELATIVE else value
+            rank = sum(v > cut for v in vals)
+            below = vals[rank] if 0 < rank < m else 0.0
+            out.append((rank, math.inf if below == 0.0 else vals[rank - 1] / below, cond))
+    return out
 
 
 def numerical_rank(spectrum: SingularSpectrum, policy: RankPolicy) -> RankResult:
-    """Apply a policy to a spectrum.
-
-    relative/absolute thresholds count values strictly above the cut;
-    gap_ratio picks the largest consecutive drop provided it reaches
-    min_ratio and otherwise reports full rank with the best (failing)
-    gap recorded.  An all-zero spectrum has rank 0.
-    """
-    vals = spectrum.values
-    if vals[0] == 0.0:
-        return RankResult(0, policy, spectrum, math.inf)
-    if policy.kind == RELATIVE:
-        rank = int(np.sum(vals > policy.value * vals[0]))
-        return RankResult(rank, policy, spectrum, _gap_at(vals, rank))
-    if policy.kind == ABSOLUTE:
-        rank = int(np.sum(vals > policy.value))
-        return RankResult(rank, policy, spectrum, _gap_at(vals, rank))
-    # gap_ratio: ratio of consecutive values, 0/0 treated as no gap
-    best_i, best_ratio = None, 1.0
-    for i in range(vals.size - 1):
-        hi, lo = vals[i], vals[i + 1]
-        if hi == 0.0:
-            ratio = 1.0
-        elif lo == 0.0:
-            ratio = math.inf
-        else:
-            ratio = float(hi / lo)
-        if ratio > best_ratio:
-            best_i, best_ratio = i, ratio
-    if best_i is not None and best_ratio >= policy.value:
-        return RankResult(best_i + 1, policy, spectrum, best_ratio)
-    return RankResult(len(spectrum), policy, spectrum, best_ratio)
+    """Apply a policy to a spectrum (the rules are those of ``_decide``)."""
+    [(rank, gap, _)] = _decide(spectrum.values[None], policy)
+    return RankResult(rank, policy, spectrum, gap)
 
 
 def condition_number(spectrum: SingularSpectrum) -> float:
     """sigma_max / sigma_min; +inf when sigma_min = 0."""
-    smin = float(spectrum.values[-1])
-    if smin == 0.0:
-        return math.inf
-    return float(spectrum.values[0]) / smin
+    return _decide(spectrum.values[None], default_policy(spectrum.source_shape))[0][2]
 
 
 def _as_integer_rows(matrix: Sequence[Sequence]) -> list[list[int]]:

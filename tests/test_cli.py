@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hankelorder import Signal, gen_y5, write_signal_csv
+from hankelorder import RankPolicy, Signal, gen_y5, hokalman_order, write_signal_csv, write_sweep_csv
 from hankelorder.cli import main
 
 
@@ -79,6 +79,19 @@ class TestRank:
         assert capsys.readouterr().out.strip() == "order=5"
 
 
+    @pytest.mark.parametrize(
+        "flags, policy",
+        [([], None), (["--policy", "gap"], RankPolicy.gap()),
+         (["--policy", "absolute", "--tol", "1e-3"], RankPolicy.absolute(1e-3))],
+    )
+    def test_single_n_row_is_the_square_sweep_point(self, tmp_path, flags, policy):
+        src = _y5_csv(tmp_path)
+        single = tmp_path / "single.csv"
+        assert main(flags + ["rank", str(src), "--n", "7", "--out", str(single)]) == 0
+        _, sweep = hokalman_order(gen_y5(40), 7, policy, columns="square")
+        header, *_, last = write_sweep_csv(sweep, tmp_path / "sweep.csv").read_text().splitlines()
+        assert single.read_text().splitlines() == [header, last]
+
 class TestEstimate:
     def test_covdet_report_rows(self, tmp_path, capsys):
         src = _y5_csv(tmp_path)
@@ -147,6 +160,35 @@ class TestExperiment:
         assert code == 2
         assert capsys.readouterr().err == "error: parameter n_max expects int, got 8.7\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, flag, value, message",
+        [
+            ("echelon_effect", "--n-max", "1", "n_max must be >= 2"),
+            ("fig5_high_order_exp", "--cond-n-max", "1", "cond_n_max must be >= 2"),
+            ("offset_effect", "--trials", "-1", "trials must be >= 0"),
+        ],
+    )
+    def test_out_of_range_override_exits_two(self, tmp_path, capsys, name, flag, value, message):
+        out = tmp_path / "x.csv"
+        assert main(["experiment", name, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_offset_effect_without_trials(self, tmp_path, capsys):
+        out = tmp_path / "offset.csv"
+        assert main(["experiment", "offset_effect", "--trials", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "offset_effect,offset_onset<=plain:0/0,ok\n"
+        lines = out.read_text().splitlines()
+        assert lines[-2:] == ["# section: onsets", "trial,onset_plain,onset_offset"]
+        assert len([line for line in lines if line.startswith(("plain,", "offset,"))]) == 18
+
+    def test_fig3_with_empty_q_range(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        argv = ["experiment", "fig3_pole_proximity", "--q-min", "5", "--q-max", "4", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "fig3_pole_proximity,q0=18,ok\n"
+        assert out.read_text().splitlines()[-2:] == ["# section: rank_grid", "noise,q,n,rank"]
 
     def test_identical_invocations_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,9 +9,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hankelorder import estimators
 from hankelorder import (
+    condition_number,
+    default_policy,
     exact_rank_rational,
+    numerical_rank,
     rational_hankel,
     rational_mode_sum,
+    singular_values,
 )
 from hankelorder import (
     AicReport,
@@ -175,6 +179,40 @@ class TestTallSweep:
                 assert not _is_tall(defaults["count"], defaults["n_max"]), name
                 checked += 1
         assert checked == 7
+
+
+STACK_SIGNALS = [gen_y5(40), add_offset(gen_y5(40), 1.0)] + [
+    add_noise(gen_y5(40), NoiseSpec(1e-6, seed)) for seed in range(4)
+]
+
+
+class TestStackedSweeps:
+    @pytest.mark.parametrize("columns", ["all", "square"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_stack_matches_one_sweep_per_signal(self, columns, policy):
+        stack = np.array([s.samples for s in STACK_SIGNALS])
+        sweeps = estimators._rank_sweeps(stack, 8, columns, policy)
+        assert len(sweeps) == len(STACK_SIGNALS)
+        for signal, sweep in zip(STACK_SIGNALS, sweeps):
+            _, alone = hokalman_order(signal, 8, policy, columns=columns)
+            assert sweep.points == alone.points
+            # and each point is the decision on that one matrix's own SVD
+            for p in alone.points:
+                cols = p.n if columns == "square" else len(signal) - p.n + 1
+                spectrum = singular_values(sliding_window_view(signal.samples, cols)[: p.n])
+                res = numerical_rank(spectrum, policy or default_policy((p.n, cols)))
+                assert (p.rank, p.decision_gap, p.condition) == (
+                    res.rank, res.decision_gap, condition_number(spectrum)
+                )
+
+    def test_tall_stack_matches_one_sweep_per_signal(self):
+        signals = [add_noise(gen_y5(2000), NoiseSpec(1e-6, seed)) for seed in range(3)]
+        assert _is_tall(2000, 12)
+        sweeps = estimators._rank_sweeps(np.array([s.samples for s in signals]), 12, "all", None)
+        assert [sw.points for sw in sweeps] == [hokalman_order(s, 12)[1].points for s in signals]
+
+    def test_empty_stack(self):
+        assert estimators._rank_sweeps(np.empty((0, 40)), 8, "all", None) == []
 
 
 class TestPlateauOnset:

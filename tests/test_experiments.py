@@ -1,8 +1,11 @@
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 from hankelorder import ExperimentSpec, list_experiments, run_experiment
+from hankelorder.experiments import _exp_family_conditions
 
 EXPECTED_NAMES = [
     "fig2_first_order",
@@ -261,3 +264,60 @@ class TestDeterminism:
         run_experiment(ExperimentSpec(name), a)
         run_experiment(ExperimentSpec(name), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _svd_r_conditions(n0, m, n_values, dps):
+    """Direct reference for the fig5 condition log: every sample term
+    e^(-n/k) evaluated on its own and sigma_1 / sigma_n from mpmath.svd_r."""
+    out = []
+    with mpmath.workdps(dps):
+        vals = []
+        for n in range(2 * max(n_values) - 1):
+            acc = mpmath.mpf(0)
+            for k in range(1, m * n0 + 1):
+                acc += mpmath.e ** (mpmath.mpf(-n) / k)
+            vals.append(acc / n0)
+        for n in n_values:
+            mat = mpmath.matrix([[vals[i + j] for j in range(n)] for i in range(n)])
+            svals = mpmath.svd_r(mat, compute_uv=False)
+            out.append((n, float(svals[0] / svals[n - 1])))
+    return out
+
+
+class TestFig5ConditionLog:
+    def test_power_table_and_eigsy_match_svd_reference(self):
+        args = (7, 2, range(2, 8), 40)
+        assert _exp_family_conditions(*args) == _svd_r_conditions(*args)
+
+    def test_never_calls_mpmath_svd(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.svd_r called")
+
+        monkeypatch.setattr(mpmath, "svd_r", refuse)
+        summary = run_experiment(ExperimentSpec("fig5_high_order_exp"), tmp_path / "fig5.csv")
+        assert summary.headline == GOLDEN_HEADLINES["fig5_high_order_exp"]
+
+
+class TestBatchedSvdCalls:
+    """The experiments stack their small SVDs; counted, so nothing is timed."""
+
+    @staticmethod
+    def _svd_calls(name, tmp_path, monkeypatch) -> int:
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        summary = run_experiment(ExperimentSpec(name), tmp_path / f"{name}.csv")
+        assert summary.headline == GOLDEN_HEADLINES[name]
+        return len(calls)
+
+    def test_offset_effect_one_call_per_n_and_stack(self, tmp_path, monkeypatch):
+        n_max = dict((n, d) for n, _, d in list_experiments())["offset_effect"]["n_max"]
+        assert self._svd_calls("offset_effect", tmp_path, monkeypatch) <= 2 * (n_max - 1)
+
+    def test_fig3_grid_is_stacked(self, tmp_path, monkeypatch):
+        assert self._svd_calls("fig3_pole_proximity", tmp_path, monkeypatch) <= 40

@@ -25,6 +25,7 @@ from hankelorder import (
     singular_values,
     write_spectrum_csv,
 )
+from hankelorder.rank import _decide
 
 
 def _spectrum(values, shape=None):
@@ -267,3 +268,104 @@ def test_spectrum_validation():
         _spectrum([1.0, -0.5])  # negative
     with pytest.raises(ValueError):
         SingularSpectrum(np.array([1.0]), (2, 2))  # wrong length
+
+
+# ---------------------------------------------------------------------------
+# the stacked decision kernel against a local copy of the one-spectrum rules
+
+
+def _scalar_gap_at(values, rank):
+    if rank == 0 or rank >= values.size:
+        return math.inf
+    lo = values[rank]
+    return math.inf if lo == 0.0 else float(values[rank - 1] / lo)
+
+
+def _scalar_rank(values, policy):
+    """The per-spectrum numerical_rank rules, one spectrum at a time."""
+    if values[0] == 0.0:
+        return 0, math.inf
+    if policy.kind == "relative_threshold":
+        rank = int(np.sum(values > policy.value * values[0]))
+        return rank, _scalar_gap_at(values, rank)
+    if policy.kind == "absolute_threshold":
+        rank = int(np.sum(values > policy.value))
+        return rank, _scalar_gap_at(values, rank)
+    best_i, best_ratio = None, 1.0
+    for i in range(values.size - 1):
+        hi, lo = values[i], values[i + 1]
+        if hi == 0.0:
+            ratio = 1.0
+        elif lo == 0.0:
+            ratio = math.inf
+        else:
+            ratio = float(hi / lo)
+        if ratio > best_ratio:
+            best_i, best_ratio = i, ratio
+    if best_i is not None and best_ratio >= policy.value:
+        return best_i + 1, best_ratio
+    return values.size, best_ratio
+
+
+def _scalar_condition(values):
+    smin = float(values[-1])
+    return math.inf if smin == 0.0 else float(values[0]) / smin
+
+
+def _bits(rank, gap, cond):
+    return rank, float(gap).hex(), float(cond).hex()
+
+
+_SPECTRUM_VALUES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 2.0, 1e-300, 5e-324]),  # ties and subnormals
+    st.floats(min_value=0.0, max_value=1e300),
+)
+_POLICIES = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(RankPolicy.relative),
+    st.floats(min_value=1e-300, max_value=1e300).map(RankPolicy.absolute),
+    st.floats(min_value=1.0, max_value=1e300, exclude_min=True).map(RankPolicy.gap),
+)
+
+
+@st.composite
+def _spectrum_stacks(draw):
+    m = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = [0.0] * m if draw(st.booleans()) and draw(st.booleans()) else draw(
+            st.lists(_SPECTRUM_VALUES, min_size=m, max_size=m)
+        )
+        rows.append(sorted(row, reverse=True))
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectrum_stacks(), _POLICIES)
+def test_stacked_kernel_matches_one_spectrum_rules_bit_for_bit(stack, policy):
+    with np.errstate(all="ignore"):
+        expected = [_bits(*_scalar_rank(row, policy), _scalar_condition(row)) for row in stack]
+    assert [_bits(*d) for d in _decide(stack, policy)] == expected
+    for row, want in zip(stack, expected):
+        spectrum = _spectrum(row)
+        res = numerical_rank(spectrum, policy)
+        assert _bits(res.rank, res.decision_gap, condition_number(spectrum)) == want
+
+
+def test_kernel_edge_spectra():
+    stack = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0], [1.0, 0.0, 0.0]])
+    assert _decide(stack, RankPolicy.gap()) == [
+        (0, math.inf, math.inf),
+        (3, 1.0, 1.0),
+        (1, math.inf, math.inf),
+    ]
+    assert _decide(np.array([[3.0]]), RankPolicy.relative(0.5)) == [(1, math.inf, 1.0)]
+    assert _decide(np.empty((0, 4)), RankPolicy.gap()) == []
+
+
+@pytest.mark.parametrize(
+    "bad", [[[1.0, 2.0]], [[1.0, -0.5]], [[1.0, math.nan]], [[3.0, 1.0], [math.inf, 1.0]]]
+)
+def test_kernel_checks_the_whole_stack(bad):
+    with pytest.raises(ValueError):
+        _decide(np.array(bad), RankPolicy.gap())
