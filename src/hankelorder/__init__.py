@@ -31,14 +31,12 @@ from .signals import (
 from .hankel import (
     BOTTOM,
     RIGHT,
-    AugmentedHankel,
-    HankelMatrix,
+    ResponsesMatrix,
     build_augmented,
     build_hankel,
     build_rectangular_hankel,
     rational_hankel,
     row_echelon,
-    write_matrix_csv,
 )
 from .rank import (
     DEFAULT_GAP_RATIO,
@@ -51,7 +49,6 @@ from .rank import (
     exact_rank_rational,
     numerical_rank,
     singular_values,
-    write_spectrum_csv,
 )
 from .estimators import (
     AicReport,
@@ -80,13 +77,13 @@ __all__ = [
     "pole_pair_modes", "add_noise", "add_offset", "snr_db", "rational_mode_sum",
     "write_signal_csv", "write_pair_csv", "read_signal_csv",
     # hankel
-    "HankelMatrix", "AugmentedHankel", "BOTTOM", "RIGHT",
+    "ResponsesMatrix", "BOTTOM", "RIGHT",
     "build_hankel", "build_rectangular_hankel", "build_augmented",
-    "rational_hankel", "row_echelon", "write_matrix_csv",
+    "rational_hankel", "row_echelon",
     # rank
     "EPS", "DEFAULT_GAP_RATIO", "SingularSpectrum", "RankPolicy", "RankResult",
     "default_policy", "singular_values", "numerical_rank", "condition_number",
-    "exact_rank_rational", "write_spectrum_csv",
+    "exact_rank_rational",
     # estimators
     "SweepPoint", "RankSweep", "OrderEstimate", "ArFit", "AicReport", "CovDetReport",
     "hokalman_order", "plateau_onset", "ar_fit", "aic_order",

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .estimators import (
     RankSweep,
     SweepPoint,
+    _order_str,
     aic_order,
     covariance_determinants,
     covdet_order,
@@ -42,17 +42,16 @@ GENERATE_FAMILIES = ("mode_sum", "y5", "high_order", "nonhomogeneous")
 ESTIMATE_METHODS = ("hokalman", "aic", "covdet")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    seed: int | None
-    policy: RankPolicy | None
-    out: Path | None
-    verbose: bool
-
-
-def _build_policy(name: str | None, tol: float | None) -> RankPolicy | None:
+def _build_policy(args) -> RankPolicy | None:
+    """The --policy/--tol rank policy; None (the default policy) without
+    flags.  The flags are rejected where no rank decision is made."""
+    name, tol = args.policy, args.tol
     if name is None:
+        if tol is not None:
+            raise ValueError("--tol requires --policy")
         return None
+    if not (args.command == "rank" or (args.command == "estimate" and args.method == "hokalman")):
+        raise ValueError("--policy and --tol apply only to rank and estimate --method hokalman")
     if name == "relative":
         return RankPolicy.relative(tol if tol is not None else 1e-10)
     if name == "absolute":
@@ -101,10 +100,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="rank tolerance policy (default: relative max(shape)*eps)")
     parser.add_argument("--tol", type=float, default=d, help="policy value (threshold or min ratio)")
     parser.add_argument("--out", type=Path, default=d, help="output CSV path")
-    if suppress:
-        parser.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS)
-    else:
-        parser.add_argument("-v", "--verbose", action="store_true")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -156,9 +151,9 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args, config: CliConfig) -> int:
+def _cmd_generate(args) -> int:
     family = args.family
-    out = config.out or Path(f"{family}.csv")
+    out = args.out or Path(f"{family}.csv")
     if family == "y5":
         sig = gen_y5(args.count)
         write_signal_csv(sig, out)
@@ -176,27 +171,26 @@ def _cmd_generate(args, config: CliConfig) -> int:
     return 0
 
 
-def _cmd_rank(args, config: CliConfig) -> int:
+def _cmd_rank(args, policy: RankPolicy | None) -> int:
     signal = read_signal_csv(args.input)
-    out = config.out or Path("rank_sweep.csv")
+    out = args.out or Path("rank_sweep.csv")
     if args.n is not None:
         mat = build_hankel(signal, args.n).entries
-        policy = config.policy or default_policy(mat.shape)
-        [(rank, gap, cond)] = _decide(singular_values(mat).values[None], policy)
+        [(rank, gap, cond)] = _decide(singular_values(mat).values[None], policy or default_policy(mat.shape))
         write_sweep_csv(RankSweep((SweepPoint(args.n, rank, gap, cond),)), out)
         print(f"order={rank}")
         return 0
-    estimate, sweep = hokalman_order(signal, args.n_max, config.policy)
+    estimate, sweep = hokalman_order(signal, args.n_max, policy)
     write_sweep_csv(sweep, out)
-    print(f"order={estimate.order if estimate.conclusive else 'inconclusive'}")
+    print(_order_str(estimate))
     return 0
 
 
-def _cmd_estimate(args, config: CliConfig) -> int:
+def _cmd_estimate(args, policy: RankPolicy | None) -> int:
     signal = read_signal_csv(args.input)
-    out = config.out or Path(f"{args.method}.csv")
+    out = args.out or Path(f"{args.method}.csv")
     if args.method == "hokalman":
-        estimate, sweep = hokalman_order(signal, args.n_max, config.policy)
+        estimate, sweep = hokalman_order(signal, args.n_max, policy)
         write_sweep_csv(sweep, out)
     elif args.method == "aic":
         estimate, report = aic_order(signal, args.p_max)
@@ -205,11 +199,11 @@ def _cmd_estimate(args, config: CliConfig) -> int:
         report = covariance_determinants(signal, args.m_range)
         estimate = covdet_order(report)
         write_covdet_csv(report, out)
-    print(f"order={estimate.order if estimate.conclusive else 'inconclusive'}")
+    print(_order_str(estimate))
     return 0
 
 
-def _cmd_experiment(args, config: CliConfig, extras: list[str]) -> int:
+def _cmd_experiment(args, extras: list[str]) -> int:
     overrides: dict = {}
     i = 0
     while i < len(extras):
@@ -218,8 +212,8 @@ def _cmd_experiment(args, config: CliConfig, extras: list[str]) -> int:
             raise ValueError(f"cannot parse experiment override {token!r}; use --key value")
         overrides[token[2:].replace("-", "_")] = _parse_override(extras[i + 1])
         i += 2
-    spec = ExperimentSpec(args.name, overrides, config.seed)
-    out = config.out or Path(f"{args.name}.csv")
+    spec = ExperimentSpec(args.name, overrides, args.seed)
+    out = args.out or Path(f"{args.name}.csv")
     summary = run_experiment(spec, out)
     print(summary.line())
     return 0
@@ -240,20 +234,15 @@ def main(argv: list[str] | None = None) -> int:
     if extras and args.command != "experiment":
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        config = CliConfig(
-            seed=args.seed,
-            policy=_build_policy(args.policy, args.tol),
-            out=args.out,
-            verbose=args.verbose,
-        )
+        policy = _build_policy(args)
         if args.command == "generate":
-            return _cmd_generate(args, config)
+            return _cmd_generate(args)
         if args.command == "rank":
-            return _cmd_rank(args, config)
+            return _cmd_rank(args, policy)
         if args.command == "estimate":
-            return _cmd_estimate(args, config)
+            return _cmd_estimate(args, policy)
         if args.command == "experiment":
-            return _cmd_experiment(args, config, extras)
+            return _cmd_experiment(args, extras)
         if args.command == "list":
             return _cmd_list()
         parser.error(f"unknown command {args.command!r}")

@@ -19,8 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .hankel import _windows
 from .rank import RankPolicy, _decide, default_policy
-from .signals import Signal
+from .signals import Signal, _write_csv
 
 __all__ = [
     "METHOD_HOKALMAN",
@@ -97,6 +98,11 @@ class OrderEstimate:
         return self.order is not None
 
 
+def _order_str(estimate: OrderEstimate) -> str:
+    """``order=<n>``, or ``order=inconclusive`` without a conclusive order."""
+    return f"order={estimate.order if estimate.conclusive else 'inconclusive'}"
+
+
 @dataclass(frozen=True)
 class ArFit:
     """Least-squares autoregressive fit y[n] = sum_i a_i y[n-i]."""
@@ -121,21 +127,6 @@ class AicReport:
 @dataclass(frozen=True)
 class CovDetReport:
     per_order: tuple[tuple[int, float], ...]  # (m, det)
-
-
-def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    """Read-only zero-copy view of every length-``width`` window along the
-    last axis of the C-contiguous array x: entry [..., i, j] = x[..., i + j].
-
-    The same view as ``sliding_window_view``, built without its
-    ``__array_interface__`` round trip, after which NumPy kept about
-    1 MiB more memory over a few thousand short sweeps.
-    """
-    step = x.strides[-1]
-    shape = x.shape[:-1] + (x.shape[-1] - width + 1, width)
-    view = np.ndarray(shape, x.dtype, x, 0, x.strides[:-1] + (step, step))
-    view.flags.writeable = False
-    return view
 
 
 def _sweep_matrices(y: np.ndarray, n_max: int, columns: str, n_min: int = 2):
@@ -358,29 +349,17 @@ def covdet_order(report: CovDetReport, collapse_ratio: float = 1e-6) -> OrderEst
     return OrderEstimate(None, METHOD_COVDET, {"collapse_ratio": collapse_ratio})
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _sweep_rows(sweep: RankSweep) -> list[tuple]:
+    return [(p.n, p.rank, p.decision_gap, p.condition) for p in sweep.points]
 
 
 def write_sweep_csv(sweep: RankSweep, path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["n,rank,gap,condition"]
-    lines += [f"{p.n},{p.rank},{_fmt(p.decision_gap)},{_fmt(p.condition)}" for p in sweep.points]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_csv(path, [(None, "n,rank,gap,condition", _sweep_rows(sweep))])
 
 
 def write_aic_csv(report: AicReport, path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["p,rss,aic"]
-    lines += [f"{p},{_fmt(rss)},{_fmt(aic)}" for p, rss, aic in report.per_order]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_csv(path, [(None, "p,rss,aic", report.per_order)])
 
 
 def write_covdet_csv(report: CovDetReport, path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["m,det"]
-    lines += [f"{m},{_fmt(det)}" for m, det in report.per_order]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_csv(path, [(None, "m,det", report.per_order)])

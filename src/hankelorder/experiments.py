@@ -20,7 +20,9 @@ import numpy as np
 
 from . import __version__
 from .estimators import (
+    _order_str,
     _rank_sweeps,
+    _sweep_rows,
     aic_order,
     covariance_determinants,
     hokalman_order,
@@ -28,7 +30,7 @@ from .estimators import (
 )
 from .hankel import BOTTOM, RIGHT, build_augmented, build_hankel, build_rectangular_hankel, row_echelon
 from .rank import _decide, default_policy, singular_values
-from .signals import Mode, ModeSum, NoiseSpec, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
+from .signals import Mode, ModeSum, NoiseSpec, _fmt, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
 
 __all__ = ["ExperimentSpec", "ExperimentSummary", "list_experiments", "run_experiment"]
 
@@ -58,13 +60,7 @@ class ExperimentSummary:
         return f"{self.name},{self.headline},{self.status}"
 
 
-Section = tuple[str, str, list[str]]  # (section name, column header, data rows)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+Section = tuple[str, str, Sequence[tuple]]  # (section name, column header, data rows)
 
 
 def _rank_of(entries: np.ndarray) -> int:
@@ -77,17 +73,6 @@ def _stack(signals: Iterable, k: int, count: int) -> np.ndarray:
     return np.fromiter((s.samples for s in signals), np.dtype((float, count)), count=k)
 
 
-def _sweep_rows(sweep) -> list[str]:
-    return [
-        f"{p.n},{p.rank},{_fmt(p.decision_gap)},{_fmt(p.condition)}"
-        for p in sweep.points
-    ]
-
-
-def _order_str(estimate) -> str:
-    return str(estimate.order) if estimate.conclusive else "inconclusive"
-
-
 # ---------------------------------------------------------------------------
 # runners: each takes (params, seed) and returns (headline, sections)
 
@@ -96,7 +81,7 @@ def _run_fig2(params: dict, seed: int) -> tuple[str, list[Section]]:
     spec = ModeSum([Mode(params["b"], params["q"])])
     signal = gen_mode_sum(spec, params["count"])
     est, sweep = hokalman_order(signal, params["n_max"])
-    return f"order={_order_str(est)}", [("sweep", "n,rank,gap,condition", _sweep_rows(sweep))]
+    return _order_str(est), [("sweep", "n,rank,gap,condition", _sweep_rows(sweep))]
 
 
 def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
@@ -117,7 +102,7 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
     samples = _stack(itertools.starmap(signal, grid), len(grid), count)
     sweeps = _rank_sweeps(samples, params["n_max"], "square", None, params["n_min"])
     rows = [
-        f"{_fmt(levels[level_idx])},{q},{pt.n},{pt.rank}"
+        (levels[level_idx], q, pt.n, pt.rank)
         for (level_idx, q), sweep in zip(grid, sweeps)
         for pt in sweep.points
     ]
@@ -139,16 +124,16 @@ def _run_fig1_table1(params: dict, seed: int) -> tuple[str, list[Section]]:
     cov = covariance_determinants(signal, range(params["m_min"], params["m_max"] + 1))
     sections = [
         ("hokalman_sweep", "n,rank,gap,condition", _sweep_rows(sweep)),
-        ("aic", "p,rss,aic", [f"{p},{_fmt(r)},{_fmt(a)}" for p, r, a in aic_report.per_order]),
-        ("covdet", "m,det", [f"{m},{_fmt(d)}" for m, d in cov.per_order]),
+        ("aic", "p,rss,aic", aic_report.per_order),
+        ("covdet", "m,det", cov.per_order),
     ]
-    return f"order={_order_str(est)}", sections
+    return _order_str(est), sections
 
 
 def _run_fig4(params: dict, seed: int) -> tuple[str, list[Section]]:
     signal = gen_high_order("sinusoid", params["n0"], params["count"], params["m"])
     est, sweep = hokalman_order(signal, params["n_max"])
-    return f"order={_order_str(est)}", [("sweep", "n,rank,gap,condition", _sweep_rows(sweep))]
+    return _order_str(est), [("sweep", "n,rank,gap,condition", _sweep_rows(sweep))]
 
 
 def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -> list[tuple[int, float]]:
@@ -186,9 +171,9 @@ def _run_fig5(params: dict, seed: int) -> tuple[str, list[Section]]:
     )
     sections = [
         ("sweep", "n,rank,gap,condition", _sweep_rows(sweep)),
-        ("condition_extended", "n,condition", [f"{n},{_fmt(c)}" for n, c in conds]),
+        ("condition_extended", "n,condition", conds),
     ]
-    return f"order={_order_str(est)}", sections
+    return _order_str(est), sections
 
 
 def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
@@ -198,9 +183,9 @@ def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
     bottom = _rank_of(build_augmented(y, u, n, BOTTOM).entries)
     right = _rank_of(build_augmented(y, u, n, RIGHT).entries)
     rows = [
-        f"unaugmented,{n},{n},{unaug}",
-        f"augmented_bottom,{n + 1},{n},{bottom}",
-        f"augmented_right,{n},{n + 1},{right}",
+        ("unaugmented", n, n, unaug),
+        ("augmented_bottom", n + 1, n, bottom),
+        ("augmented_right", n, n + 1, right),
     ]
     headline = f"rank={unaug};aug_bottom={bottom};aug_right={right}"
     return headline, [("ranks", "matrix,rows,cols,rank", rows)]
@@ -227,7 +212,7 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     sweeps = _rank_sweeps(samples, params["n_max"], "all", None)
 
     rows_free = [
-        f"{label},{p.n},{p.rank}"
+        (label, p.n, p.rank)
         for label, sweep in (("plain", sweeps[0]), ("offset", sweeps[1]))
         for p in sweep.points
     ]
@@ -236,7 +221,7 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     for t in range(params["trials"]):
         on_p, on_o = plateau_onset(sweeps[2 + 2 * t]), plateau_onset(sweeps[3 + 2 * t])
         favourable += on_o <= on_p
-        rows_onsets.append(f"{t},{on_p},{on_o}")
+        rows_onsets.append((t, on_p, on_o))
     sections: list[Section] = [
         ("noise_free_sweep", "variant,n,rank", rows_free),
         ("onsets", "trial,onset_plain,onset_offset", rows_onsets),
@@ -259,7 +244,7 @@ def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
         mat = build_rectangular_hankel(noisy, n, count - n + 1)
         svd_rank = _rank_of(mat.entries)
         _, pivots = row_echelon(mat.entries, params["echelon_tol"])
-        rows.append(f"{n},{svd_rank},{pivots}")
+        rows.append((n, svd_rank, pivots))
         last = (svd_rank, pivots)
     headline = f"svd_rank={last[0]};echelon_rank={last[1]}"
     return headline, [("comparison", "n,svd_rank,echelon_rank", rows)]
@@ -367,9 +352,6 @@ def run_experiment(spec: ExperimentSpec, output_path: str | Path) -> ExperimentS
     rejected with the list of valid choices; an override or seed that
     does not round-trip through its default's type is rejected too.
     """
-    if spec.name not in _REGISTRY:
-        known = ", ".join(_REGISTRY)
-        raise ValueError(f"unknown experiment {spec.name!r}; registered: {known}")
     exp = _REGISTRY[spec.name]
     unknown = set(spec.parameters) - set(exp.defaults)
     if unknown:
@@ -384,17 +366,6 @@ def run_experiment(spec: ExperimentSpec, output_path: str | Path) -> ExperimentS
 
     headline, sections = exp.runner(params, seed)
 
-    lines = [
-        f"# experiment: {exp.name}",
-        f"# artifact_version: {__version__}",
-        f"# seed: {seed}",
-    ]
-    for key in sorted(params):
-        lines.append(f"# param {key}: {_fmt(params[key])}")
-    for sec_name, columns, rows in sections:
-        lines.append(f"# section: {sec_name}")
-        lines.append(columns)
-        lines.extend(rows)
-    output_path = Path(output_path)
-    output_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ExperimentSummary(exp.name, headline, "ok", output_path)
+    header = [f"experiment: {exp.name}", f"artifact_version: {__version__}", f"seed: {seed}"]
+    header += [f"param {key}: {_fmt(params[key])}" for key in sorted(params)]
+    return ExperimentSummary(exp.name, headline, "ok", _write_csv(output_path, sections, header))

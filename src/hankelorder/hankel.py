@@ -8,7 +8,6 @@ augmented shapes and sweeps that use every available sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -16,8 +15,7 @@ import numpy as np
 from .signals import Signal
 
 __all__ = [
-    "HankelMatrix",
-    "AugmentedHankel",
+    "ResponsesMatrix",
     "BOTTOM",
     "RIGHT",
     "build_hankel",
@@ -25,7 +23,6 @@ __all__ = [
     "build_augmented",
     "rational_hankel",
     "row_echelon",
-    "write_matrix_csv",
 ]
 
 BOTTOM = "bottom_row_of_inputs"
@@ -33,23 +30,16 @@ RIGHT = "right_column_of_inputs"
 
 
 @dataclass(frozen=True)
-class HankelMatrix:
-    """Dense matrix with anti-diagonal (shift) structure.
-
-    ``source_length`` is the number of signal samples consumed:
-    rows + cols - 1 (2n - 1 for the square n x n case).
-    """
+class ResponsesMatrix:
+    """A responses matrix: a Hankel block of translated response windows,
+    possibly padded with input samples; ``entries`` is a read-only copy."""
 
     entries: np.ndarray
-    source_length: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=float)
+        arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2:
             raise ValueError("entries must be 2-D")
-        if self.source_length != arr.shape[0] + arr.shape[1] - 1:
-            raise ValueError("source_length must equal rows + cols - 1")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -58,35 +48,22 @@ class HankelMatrix:
         return self.entries.shape
 
 
-@dataclass(frozen=True)
-class AugmentedHankel:
-    """Output Hankel block padded with translated input samples.
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """Read-only zero-copy view of every length-``width`` window along the
+    last axis of the C-contiguous array x: entry [..., i, j] = x[..., i + j].
 
-    The y block is the square n x n responses matrix; the padding is one
-    extra row of u values at the bottom ((n+1) x n) or one extra column
-    of u values at the right (n x (n+1)).
+    The same view as ``sliding_window_view``, built without its
+    ``__array_interface__`` round trip, after which NumPy kept about
+    1 MiB more memory over a few thousand short sweeps.
     """
-
-    entries: np.ndarray
-    augmentation_side: str
-
-    def __post_init__(self) -> None:
-        if self.augmentation_side not in (BOTTOM, RIGHT):
-            raise ValueError(f"unknown augmentation side: {self.augmentation_side!r}")
-        arr = np.asarray(self.entries, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+    step = x.strides[-1]
+    shape = x.shape[:-1] + (x.shape[-1] - width + 1, width)
+    view = np.ndarray(shape, x.dtype, x, 0, x.strides[:-1] + (step, step))
+    view.flags.writeable = False
+    return view
 
 
-def _window_matrix(samples: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return samples[np.add.outer(np.arange(rows), np.arange(cols))]
-
-
-def build_rectangular_hankel(signal: Signal, rows: int, cols: int) -> HankelMatrix:
+def build_rectangular_hankel(signal: Signal, rows: int, cols: int) -> ResponsesMatrix:
     """Entry (i, j) = samples[i + j]; needs rows + cols - 1 samples."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
@@ -96,10 +73,10 @@ def build_rectangular_hankel(signal: Signal, rows: int, cols: int) -> HankelMatr
             f"signal has {len(signal)} samples but a {rows}x{cols} Hankel "
             f"matrix requires rows + cols - 1 = {needed}"
         )
-    return HankelMatrix(_window_matrix(signal.samples, rows, cols), needed)
+    return ResponsesMatrix(_windows(signal.samples, cols)[:rows])
 
 
-def build_hankel(signal: Signal, n: int) -> HankelMatrix:
+def build_hankel(signal: Signal, n: int) -> ResponsesMatrix:
     """Square n x n responses matrix; needs 2n - 1 samples."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -111,7 +88,7 @@ def build_hankel(signal: Signal, n: int) -> HankelMatrix:
     return build_rectangular_hankel(signal, n, n)
 
 
-def build_augmented(y: Signal, u: Signal, n: int, side: str = BOTTOM) -> AugmentedHankel:
+def build_augmented(y: Signal, u: Signal, n: int, side: str = BOTTOM) -> ResponsesMatrix:
     """Pad the n x n output Hankel block with translated input samples.
 
     When the input's modes already appear in the output, the padding row
@@ -126,13 +103,10 @@ def build_augmented(y: Signal, u: Signal, n: int, side: str = BOTTOM) -> Augment
         raise ValueError(f"output signal needs at least 2n = {2 * n} samples, has {len(y)}")
     if len(u) < n + 1:
         raise ValueError(f"input signal needs at least n + 1 = {n + 1} samples, has {len(u)}")
-    block = _window_matrix(y.samples, n, n)
-    pad = u.samples[:n]
-    if side == BOTTOM:
-        entries = np.vstack([block, pad])
-    else:
-        entries = np.hstack([block, pad[:, None]])
-    return AugmentedHankel(entries, side)
+    # the square y block is symmetric, so the right padding is the
+    # transpose of the bottom one
+    bottom = np.vstack([_windows(y.samples, n)[:n], u.samples[:n]])
+    return ResponsesMatrix(bottom if side == BOTTOM else bottom.T)
 
 
 def rational_hankel(samples: Sequence, rows: int, cols: int) -> list[list]:
@@ -186,11 +160,3 @@ def row_echelon(matrix, pivot_tolerance: float = 0.0) -> tuple[np.ndarray, int]:
         pivots += 1
     return a, pivots
 
-
-def write_matrix_csv(matrix, path: str | Path) -> Path:
-    """Row-major dump, one row per line, 17 significant digits."""
-    arr = np.asarray(matrix, dtype=float)
-    path = Path(path)
-    lines = [",".join(format(v, ".17g") for v in row) for row in np.atleast_2d(arr)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "numerical_rank",
     "condition_number",
     "exact_rank_rational",
-    "write_spectrum_csv",
 ]
 
 EPS = float(np.finfo(float).eps)
@@ -255,11 +253,3 @@ def exact_rank_rational(matrix: Sequence[Sequence]) -> int:
         r += 1
     return r
 
-
-def write_spectrum_csv(spectrum: SingularSpectrum, path: str | Path) -> Path:
-    """Dump as ``index,sigma`` rows, 17 significant digits."""
-    path = Path(path)
-    lines = ["index,sigma"]
-    lines += [f"{i},{format(v, '.17g')}" for i, v in enumerate(spectrum.values)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path

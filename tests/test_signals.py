@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelorder import (
@@ -25,6 +25,7 @@ from hankelorder import (
     write_pair_csv,
     write_signal_csv,
 )
+from hankelorder.signals import _fmt
 
 LN2 = math.log(2.0)
 
@@ -342,6 +343,35 @@ class TestCsv:
         path.write_text("n,value\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no data rows"):
             read_signal_csv(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308 / 3)
+@example(1.7976931348623157e308)
+def test_fmt_round_trips_every_finite_float_bit_for_bit(x):
+    assert float(_fmt(x)).hex() == x.hex()
+
+
+def test_fmt_infinities_and_non_floats():
+    assert _fmt(math.inf) == "inf"
+    assert _fmt(-math.inf) == "-inf"
+    assert _fmt(12) == "12"
+    assert _fmt("augmented_bottom") == "augmented_bottom"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=30))
+def test_pair_csv_loads_y_bit_for_bit(tmp_path_factory, pairs):
+    y = Signal(np.array([a for a, _ in pairs]))
+    u = Signal(np.array([b for _, b in pairs]))
+    path = write_pair_csv(y, u, tmp_path_factory.mktemp("pair") / "pair.csv")
+    assert read_signal_csv(path).samples.tobytes() == y.samples.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
