@@ -95,7 +95,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # Global flags are accepted both before and after the subcommand; the
     # subparser copies use SUPPRESS so they never clobber earlier values.
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int, default=d, help="seed for seeded operations")
+    parser.add_argument("--seed", type=int, default=d, help="experiment seed (experiment only)")
     parser.add_argument("--policy", choices=("relative", "absolute", "gap"), default=d,
                         help="rank tolerance policy (default: relative max(shape)*eps)")
     parser.add_argument("--tol", type=float, default=d, help="policy value (threshold or min ratio)")
@@ -234,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     if extras and args.command != "experiment":
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
+        if args.seed is not None and args.command != "experiment":
+            raise ValueError("--seed applies only to experiment")
         policy = _build_policy(args)
         if args.command == "generate":
             return _cmd_generate(args)

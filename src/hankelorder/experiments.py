@@ -11,6 +11,7 @@ written.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -137,28 +138,73 @@ def _run_fig4(params: dict, seed: int) -> tuple[str, list[Section]]:
 
 
 def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -> list[tuple[int, float]]:
-    """True condition numbers of the square matrices of the exponential
-    superposition family, computed in extended precision.
+    """True condition numbers sigma_1 / sigma_n of the square matrices H_n
+    of the exponential superposition family, computed in extended precision.
 
     Double precision saturates near cond ~ 1e16..1e17 (both the SVD and
-    the float64 quantization of the samples), so samples, matrices and
-    spectra are all evaluated at ``dps`` decimal digits.
+    the float64 quantization of the samples), so samples and spectra are
+    evaluated at ``dps`` decimal digits.
+
+    For n <= m*n0, H_n = V D V^T with distinct nodes e^(-1/k) and positive
+    weights, so it is symmetric positive definite, and every H_n is the
+    leading block of H_N (N the largest such n).  One Cholesky factor
+    H_N = L L^T and its inverse M = L^-1 therefore serve every n: L_n and
+    M_n = L_n^-1 are leading blocks, and M_n^T M_n = H_n^-1.  sigma_1 is
+    the Rayleigh quotient of H_n at the top eigenvector of float64(H_n),
+    and 1/sigma_n = ||M_n w||^2 / ||w||^2 at the top right singular vector
+    w of float64(M_n), both evaluated at ``dps`` digits.  A Rayleigh
+    quotient's error is quadratic in its vector's error, and float64
+    vectors are accurate to about 1e-16 only because the top eigenvalues
+    of H_n and of H_n^-1 are well separated; the method relies on that,
+    which these geometrically decaying spectra provide.
+
+    For n > m*n0, H_n has rank m*n0 and the condition is +inf (the
+    sigma_min = 0 convention), so it is not computed.  A non-positive
+    Cholesky pivot means ``dps`` is too low for the requested n and
+    raises ValueError.
     """
-    out = []
+    order = m * n0
+    size = max((n for n in n_values if n <= order), default=0)
+    conds = {n: math.inf for n in n_values}
     with mpmath.workdps(dps):
         # y[n] = (1/n0) sum_k lam_k^n with lam_k = e^(-1/k): one exp per term
-        lams = [mpmath.exp(mpmath.mpf(-1) / k) for k in range(1, m * n0 + 1)]
+        lams = [mpmath.exp(mpmath.mpf(-1) / k) for k in range(1, order + 1)]
         powers = [mpmath.mpf(1)] * len(lams)
         vals = []
-        for _ in range(2 * max(n_values) - 1):
+        for _ in range(2 * size - 1):
             vals.append(mpmath.fsum(powers) / n0)
             powers = [pw * lam for pw, lam in zip(powers, lams)]
+        # lower-triangular rows of L (Cholesky of H_size) and of M = L^-1
+        chol: list[list] = []
+        inv: list[list] = []
+        for i in range(size):
+            row = []
+            for j in range(i):
+                row.append((vals[i + j] - mpmath.fdot(row, chol[j][:j])) / chol[j][j])
+            pivot = vals[2 * i] - mpmath.fdot(row, row)
+            if pivot <= 0:
+                raise ValueError(f"cond_dps={dps} is too low: H_{i + 1} is not positive definite at {dps} digits")
+            row.append(mpmath.sqrt(pivot))
+            chol.append(row)
+            diag = 1 / row[i]
+            inv_row = [-diag * mpmath.fdot(row[j:i], [inv[k][j] for k in range(j, i)]) for j in range(i)]
+            inv.append(inv_row + [diag])
+        samples = np.array([float(v) for v in vals])
+        h_float = samples[np.add.outer(np.arange(size), np.arange(size))]
+        m_float = np.zeros((size, size))
+        for i, row in enumerate(inv):
+            m_float[i, : i + 1] = [float(x) for x in row]
         for n in n_values:
-            # the Hankel matrix is symmetric, so its singular values are |eigenvalues|
-            mat = mpmath.matrix([[vals[i + j] for j in range(n)] for i in range(n)])
-            svals = [abs(x) for x in mpmath.eigsy(mat, eigvals_only=True)]
-            out.append((n, float(max(svals) / min(svals))))
-    return out
+            # an entry of M_n past float range makes sigma_1 / sigma_n >= y[0] * entry^2 overflow too
+            if n > order or not np.isfinite(m_float[:n, :n]).all():
+                continue
+            v = [mpmath.mpf(x) for x in np.linalg.eigh(h_float[:n, :n])[1][:, -1]]
+            hv = [mpmath.fdot(vals[i : i + n], v) for i in range(n)]
+            top = mpmath.fdot(hv, v) / mpmath.fdot(v, v)
+            w = [mpmath.mpf(x) for x in np.linalg.svd(m_float[:n, :n])[2][0]]
+            mw = [mpmath.fdot(inv[i], w[: i + 1]) for i in range(n)]
+            conds[n] = float(top * mpmath.fdot(mw, mw) / mpmath.fdot(w, w))
+    return [(n, conds[n]) for n in n_values]
 
 
 def _run_fig5(params: dict, seed: int) -> tuple[str, list[Section]]:

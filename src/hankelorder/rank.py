@@ -140,10 +140,11 @@ def singular_values(matrix) -> SingularSpectrum:
 
 def _check_spectra(spectra: np.ndarray) -> None:
     """Reject spectra (one per row of the last axis) that are not finite,
-    >= 0 and non-increasing."""
-    if not np.all(np.isfinite(spectra)) or np.any(spectra < 0):
+    >= 0 and non-increasing.  A non-increasing row is >= 0 once its last
+    value is, so only the last column is compared with 0."""
+    if not np.isfinite(spectra).all() or (spectra[..., -1:] < 0).any():
         raise ValueError("singular values must be finite and >= 0")
-    if np.any(np.diff(spectra, axis=-1) > 0):
+    if (spectra[..., :-1] < spectra[..., 1:]).any():
         raise ValueError("singular values must be non-increasing")
 
 

@@ -175,6 +175,24 @@ class TestExperiment:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_fig5_with_too_few_digits_exits_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "fig5.csv"
+        assert main(["experiment", "fig5_high_order_exp", "--cond-n-max", "60", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cond_dps=50 is too low: H_19 is not positive definite at 50 digits\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_fig5_condition_past_the_order_is_inf(self, tmp_path, capsys):
+        out = tmp_path / "fig5.csv"
+        argv = ["experiment", "fig5_high_order_exp", "--n0", "10", "--cond-n-max", "13", "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines[lines.index("n,condition") + 1 :]]
+        assert [n for n, _ in rows] == [str(n) for n in range(2, 14)]
+        assert all(float(c) > 1.0 and c != "inf" for _, c in rows[:9])
+        assert [c for _, c in rows[9:]] == ["inf"] * 3
+
     def test_offset_effect_without_trials(self, tmp_path, capsys):
         out = tmp_path / "offset.csv"
         assert main(["experiment", "offset_effect", "--trials", "0", "--out", str(out)]) == 0
@@ -229,6 +247,26 @@ class TestRankFlags:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --policy and --tol apply only to rank and estimate --method hokalman\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "y5", "--count", "5", "--seed", "3"],
+            ["--seed", "3", "generate", "y5"],
+            ["rank", "{src}", "--seed", "3"],
+            ["estimate", "{src}", "--method", "aic", "--seed", "3"],
+            ["list", "--seed", "3"],
+        ],
+    )
+    def test_seed_on_a_command_other_than_experiment_exits_two(self, tmp_path, capsys, argv):
+        src = _y5_csv(tmp_path)
+        out = tmp_path / "o.csv"
+        argv = [a.format(src=src) for a in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed applies only to experiment\n"
         assert captured.out == ""
         assert not out.exists()
 

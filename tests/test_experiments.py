@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import mpmath
@@ -289,11 +290,28 @@ class TestFig5ConditionLog:
         args = (7, 2, range(2, 8), 40)
         assert _exp_family_conditions(*args) == _svd_r_conditions(*args)
 
+    @pytest.mark.parametrize(
+        "n0, m, n_values, dps",
+        [(50, 1, range(2, 14), 50), (20, 1, range(2, 13), 50), (50, 2, range(2, 11), 60), (3, 1, range(2, 4), 30)],
+    )
+    def test_nested_cholesky_matches_svd_reference(self, n0, m, n_values, dps):
+        assert _exp_family_conditions(n0, m, n_values, dps) == _svd_r_conditions(n0, m, n_values, dps)
+
+    def test_singular_rows_past_the_order_are_infinite(self):
+        conds = _exp_family_conditions(3, 1, range(2, 6), 50)
+        assert conds[:2] == _svd_r_conditions(3, 1, range(2, 4), 50)
+        assert conds[2:] == [(4, math.inf), (5, math.inf)]
+
+    def test_too_few_digits_for_the_requested_n_is_rejected(self):
+        with pytest.raises(ValueError, match="cond_dps=20 is too low"):
+            _exp_family_conditions(50, 1, range(2, 13), 20)
+
     def test_never_calls_mpmath_svd(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("mpmath.svd_r called")
+            raise AssertionError("an mpmath SVD or eigensolver called")
 
         monkeypatch.setattr(mpmath, "svd_r", refuse)
+        monkeypatch.setattr(mpmath, "eigsy", refuse)
         summary = run_experiment(ExperimentSpec("fig5_high_order_exp"), tmp_path / "fig5.csv")
         assert summary.headline == GOLDEN_HEADLINES["fig5_high_order_exp"]
 

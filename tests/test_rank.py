@@ -359,3 +359,63 @@ def test_kernel_edge_spectra():
 def test_kernel_checks_the_whole_stack(bad):
     with pytest.raises(ValueError):
         _decide(np.array(bad), RankPolicy.gap())
+
+
+_GOOD_STACK = [[3.0, 2.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+_BAD_ROWS = {
+    "nan": [2.0, math.nan, 1.0],
+    "+inf": [math.inf, 2.0, 1.0],
+    "-inf": [2.0, 1.0, -math.inf],
+    "negative_last": [2.0, 1.0, -0.5],
+    "negative_middle": [2.0, -1.0, 0.0],
+    "all_negative": [-1.0, -2.0, -3.0],
+    "increasing_first_pair": [1.0, 2.0, 0.0],
+    "increasing_last_pair": [2.0, 0.0, 1.0],
+    "increasing_by_one_ulp": [1.0, 1.0, float(np.nextafter(1.0, 2.0))],
+}
+
+
+@pytest.mark.parametrize("where", range(len(_GOOD_STACK)))
+@pytest.mark.parametrize("defect", sorted(_BAD_ROWS))
+def test_stack_check_rejects_each_defect_in_any_row(defect, where):
+    stack = [list(row) for row in _GOOD_STACK]
+    stack[where] = _BAD_ROWS[defect]
+    with pytest.raises(ValueError):
+        _decide(np.array(stack), RankPolicy.relative(0.5))
+    with pytest.raises(ValueError):
+        _spectrum(_BAD_ROWS[defect])
+
+
+def _rejected_by_original_check(stack):
+    """The stack check as first written: every value finite and >= 0 and
+    no adjacent difference > 0."""
+    with np.errstate(invalid="ignore"):
+        return not (np.all(np.isfinite(stack)) and np.all(stack >= 0) and not np.any(np.diff(stack, axis=-1) > 0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.booleans(),
+)
+def test_stack_check_rejects_exactly_what_the_original_check_rejected(rows, sort):
+    stack = np.array([sorted(row, reverse=True) for row in rows] if sort else rows)
+    try:
+        _decide(stack, RankPolicy.relative(0.5))
+        rejected = False
+    except ValueError:
+        rejected = True
+    assert rejected == _rejected_by_original_check(stack)
