@@ -138,12 +138,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--m-range", type=_parse_m_range, default=range(2, 9),
                        help="covdet orders as lo:hi (inclusive)")
 
+    # no abbreviations here: fig3's --p override would otherwise parse as --policy
     p_exp = sub.add_parser(
         "experiment",
         help="run a registered experiment (extra --key value pairs override parameters)",
         epilog=_experiment_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
         parents=[common],
+        allow_abbrev=False,
     )
     p_exp.add_argument("name")
 

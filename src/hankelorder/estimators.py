@@ -50,8 +50,10 @@ METHOD_COVDET = "covariance_determinant"
 
 RSS_FLOOR = 1e-300
 
-# A sweep takes the one-QR path once H_{n_max}^T has at least this many
-# rows per column; below it the dense per-n SVDs are as fast.
+# A sweep takes the tall QR path once H_{n_max}^T has at least this many
+# rows per column; below it the dense per-n SVDs are as fast.  It also
+# sets the reduction tree's block height (this many rows per column) and
+# group size (this many blocks to one LAPACK call).
 _TALL_ROWS_PER_COL = 16
 
 
@@ -129,6 +131,34 @@ class CovDetReport:
     per_order: tuple[tuple[int, float], ...]  # (m, det)
 
 
+def _tall_r(w: np.ndarray) -> np.ndarray:
+    """The (..., c, c) R factor of a stack of tall (..., rows, c) matrices
+    with rows >= 16 c, by a TSQR reduction tree (Demmel, Grigori, Hoemmen
+    & Langou, SIAM J. Sci. Comput. 34(1), 2012).
+
+    w is split into blocks of 16 c rows (a zero-copy reshape of a window
+    view), each factored while it sits in cache; the R factors of all
+    blocks, stacked on the leftover rows, form the next, 16 times shorter
+    matrix, until one block remains.  Each LAPACK call takes at most 16
+    blocks of each matrix in the stack (16 k blocks for k matrices),
+    because np.linalg.qr copies its whole input first.  R has the
+    backward stability of one Householder QR of w, and the same singular
+    values up to rounding, but not the same bits.
+    """
+    c = w.shape[-1]
+    block = _TALL_ROWS_PER_COL * c
+    while (rows := w.shape[-2]) > block:
+        nb = rows // block
+        blocks = w[..., : nb * block, :].reshape(w.shape[:-2] + (nb, block, c))
+        parts = [
+            np.linalg.qr(blocks[..., g : g + _TALL_ROWS_PER_COL, :, :], mode="r")
+            for g in range(0, nb, _TALL_ROWS_PER_COL)
+        ]
+        parts = [r.reshape(w.shape[:-2] + (r.shape[-3] * c, c)) for r in parts]
+        w = np.concatenate([*parts, w[..., nb * block :, :]], axis=-2)
+    return np.linalg.qr(w, mode="r")
+
+
 def _sweep_matrices(y: np.ndarray, n_max: int, columns: str, n_min: int = 2):
     """(shape, matrices) for n = n_min..n_max, where y holds signals along its
     last axis: shape is that of the n-row sweep matrix, and matrices holds,
@@ -136,16 +166,17 @@ def _sweep_matrices(y: np.ndarray, n_max: int, columns: str, n_min: int = 2):
 
     Dense path: a zero-copy window view of the n x cols Hankel matrices.
     Tall path ("all" columns, L - n_max + 1 >= 16 n_max rows): with
-    W = H_{n_max}^T = QR, H_n^T stacks W[:, :n] on the n_max - n trailing
-    windows; Q has orthonormal columns, so H_n shares its singular values
-    with the (2 n_max - n) x n matrix [R[:, :n]; trailing windows].
+    W = H_{n_max}^T = QR (R from the blocked reduction of ``_tall_r``),
+    H_n^T stacks W[:, :n] on the n_max - n trailing windows; Q has
+    orthonormal columns, so H_n shares its singular values with the
+    (2 n_max - n) x n matrix [R[:, :n]; trailing windows].
     """
     size = y.shape[-1]
     rows = size - n_max + 1
     # padded[..., k] = y[..., k] for k < L and 0 beyond, so windows may run past the end
     padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
     if columns == "all" and rows >= _TALL_ROWS_PER_COL * n_max:
-        r = np.linalg.qr(_windows(y, n_max), mode="r")
+        r = _tall_r(_windows(y, n_max))
         trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
         stacked = np.concatenate([r, trailing], axis=-2)
         for n in range(n_min, n_max + 1):
@@ -203,11 +234,13 @@ def hokalman_order(
     max(rows, cols) * eps.
 
     Long signals (``columns="all"`` and L - n_max + 1 >= 16 n_max)
-    factor H_{n_max}^T once by Householder QR and take each spectrum from
-    a small (2 n_max - n) x n matrix with the same singular values;
-    everything else runs one dense SVD per n.  Both paths give the same
-    ranks, but rounding-level ``gap`` and ``condition`` values from the
-    QR path can differ from the dense ones in the last bits.
+    factor H_{n_max}^T once, by a blocked tall-skinny QR that factors
+    blocks of 16 n_max rows and then their stacked R factors, and take
+    each spectrum from a small (2 n_max - n) x n matrix with the same
+    singular values; everything else runs one dense SVD per n.  Both
+    paths give the same ranks, but rounding-level ``gap`` and
+    ``condition`` values from the QR path can differ from the dense ones
+    in the last bits.
     """
     if plateau_len < 1:
         raise ValueError("plateau_len must be >= 1")
@@ -242,7 +275,8 @@ def ar_fit(signal: Signal, p: int, n_start: int | None = None) -> ArFit:
     The fit runs over n = n_start..len-1 (n_start defaults to p, i.e.
     all valid rows).  The least-squares cutoff follows the same relative
     tolerance convention as the rank machinery; a rank-deficient
-    regressor matrix yields the minimum-norm solution and is flagged.
+    regressor matrix yields the minimum-norm solution and is flagged.  A
+    residual sum of squares past float range raises ValueError.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -260,10 +294,14 @@ def ar_fit(signal: Signal, p: int, n_start: int | None = None) -> ArFit:
     targets = y[idx]
     rcond = max(regressors.shape) * np.finfo(float).eps
     coeffs, _, rank, _ = np.linalg.lstsq(regressors, targets, rcond=rcond)
-    residuals = targets - regressors @ coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = targets - regressors @ coeffs
+        rss = float(residuals @ residuals)
+    if not math.isfinite(rss):
+        raise ValueError(f"the residual sum of squares of the order-{p} AR fit overflows float range")
     return ArFit(
         coefficients=coeffs,
-        rss=float(residuals @ residuals),
+        rss=rss,
         regressor_rank=int(rank),
         rank_deficient=int(rank) < p,
     )
@@ -309,6 +347,7 @@ def covariance_determinants(signal: Signal, m_range: Iterable[int]) -> CovDetRep
     over all valid n and C_m = (1/count) * sum phi phi^T, an
     (m+1) x (m+1) matrix.  Once m reaches the true order the lag vectors
     become linearly dependent and the determinant collapses toward zero.
+    A covariance or determinant past float range raises ValueError.
     """
     ms = [int(m) for m in m_range]
     if not ms:
@@ -322,8 +361,12 @@ def covariance_determinants(signal: Signal, m_range: Iterable[int]) -> CovDetRep
     for m in ms:
         idx = np.arange(m, len(y))
         lags = np.column_stack([y[idx - i] for i in range(m + 1)])
-        cov = lags.T @ lags / idx.size
-        rows_out.append((m, float(np.linalg.det(cov))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = lags.T @ lags / idx.size
+            det = float(np.linalg.det(cov)) if np.isfinite(cov).all() else math.nan
+        if not math.isfinite(det):
+            raise ValueError(f"the determinant of the order-{m} lag covariance overflows float range")
+        rows_out.append((m, det))
     return CovDetReport(tuple(rows_out))
 
 

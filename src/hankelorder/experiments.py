@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -137,6 +138,10 @@ def _run_fig4(params: dict, seed: int) -> tuple[str, list[Section]]:
     return _order_str(est), [("sweep", "n,rank,gap,condition", _sweep_rows(sweep))]
 
 
+# A condition row is written only if its relative error bound is below 1e-15.
+_COND_LOG10_RESOLUTION = -15.0
+
+
 def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -> list[tuple[int, float]]:
     """True condition numbers sigma_1 / sigma_n of the square matrices H_n
     of the exponential superposition family, computed in extended precision.
@@ -161,7 +166,14 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
     For n > m*n0, H_n has rank m*n0 and the condition is +inf (the
     sigma_min = 0 convention), so it is not computed.  A non-positive
     Cholesky pivot means ``dps`` is too low for the requested n and
-    raises ValueError.
+    raises ValueError, and so does a row whose a-posteriori relative
+    error bound n * cond * 10^-dps (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10) exceeds 1e-15.  A row that
+    passes is accurate to about 1e-15 relative, not to the 2^-53 that all
+    17 printed digits need, so its last digit or two are not guaranteed
+    (at 50 digits rows 2..13 of the (50, 1) family equal a 120-digit run;
+    other families were not compared).  A row that prints inf because M_n
+    left float range has cond above the largest float.
     """
     order = m * n0
     size = max((n for n in n_values if n <= order), default=0)
@@ -204,6 +216,15 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
             w = [mpmath.mpf(x) for x in np.linalg.svd(m_float[:n, :n])[2][0]]
             mw = [mpmath.fdot(inv[i], w[: i + 1]) for i in range(n)]
             conds[n] = float(top * mpmath.fdot(mw, mw) / mpmath.fdot(w, w))
+    for n in n_values:
+        if n > order:
+            continue
+        log_bound = math.log10(n) + math.log10(min(conds[n], sys.float_info.max)) - dps
+        if log_bound > _COND_LOG10_RESOLUTION:
+            raise ValueError(
+                f"cond_dps={dps} is too low: H_{n} has condition {conds[n]:.3g}, "
+                f"resolved at {dps} digits only to about 10^{log_bound:.0f} relative"
+            )
     return [(n, conds[n]) for n in n_values]
 
 
@@ -237,14 +258,24 @@ def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
     return headline, [("ranks", "matrix,rows,cols,rank", rows)]
 
 
+def _noise_amplitude(samples: np.ndarray, snr_db: float) -> float:
+    """The uniform noise amplitude sqrt(3) * rms(samples) / 10^(snr_db/20),
+    whose noise lies snr_db below the samples."""
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(samples**2)))
+    try:
+        return float(np.sqrt(3.0)) * rms / (10.0 ** (snr_db / 20.0))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"snr_db={snr_db!r} puts the noise amplitude outside float range") from None
+
+
 def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     if params["trials"] < 0:
         raise ValueError("trials must be >= 0")
     count = params["count"]
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     shifted = add_offset(base, params["offset"])
-    rms = float(np.sqrt(np.mean(base.samples**2)))
-    amp = float(np.sqrt(3.0)) * rms / (10.0 ** (params["snr_db"] / 20.0))
+    amp = _noise_amplitude(base.samples, params["snr_db"])
 
     def signals():
         # the two noise-free signals, then a plain and an offset copy of
@@ -281,8 +312,7 @@ def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
         raise ValueError("n_max must be >= 2")
     count = params["count"]
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
-    rms = float(np.sqrt(np.mean(base.samples**2)))
-    amp = float(np.sqrt(3.0)) * rms / (10.0 ** (params["snr_db"] / 20.0))
+    amp = _noise_amplitude(base.samples, params["snr_db"])
     noisy = add_noise(base, NoiseSpec(amp, seed))
     rows = []
     last = None

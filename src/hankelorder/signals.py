@@ -87,7 +87,13 @@ class ModeSum:
             groups.setdefault(key, []).append(m.coefficient)
         merged = []
         for (d, w), coeffs in groups.items():
-            c = math.fsum(coeffs)
+            try:
+                c = math.fsum(coeffs)
+            except OverflowError:
+                raise ValueError(
+                    f"the coefficients of the modes with decay_rate={d:g}, "
+                    f"angular_frequency={w:g} sum past float range"
+                ) from None
             if c != 0.0:
                 merged.append(Mode(c, d, w))
         merged.sort(key=lambda m: (m.decay_rate, m.angular_frequency, m.coefficient))
@@ -157,25 +163,46 @@ class Signal:
         return int(self.samples.size)
 
 
-def _validate_count(count: int) -> None:
+def _validate_grid(count: int, sample_period: float = 1.0) -> None:
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not (sample_period > 0.0 and math.isfinite(sample_period)):
+        raise ValueError("sample_period must be finite and > 0")
+
+
+# r**n rounds to 0 once it is below 2**-1075, half the smallest subnormal
+_LOG_UNDERFLOW = -1075 * math.log(2.0)
 
 
 def gen_mode_sum(spec: ModeSum, count: int, sample_period: float = 1.0) -> Signal:
     """Sample ``sum_i c_i exp(-d_i t) cos(w_i t)`` at t = n*sample_period.
 
     Each mode is evaluated as ``c * r**n`` with ``r = exp(-d*T)``, which
-    keeps dyadic cases (e.g. r = 1/2) exact in floating point.
+    keeps dyadic cases (e.g. r = 1/2) exact in floating point.  For
+    0 < r < 1 only the samples before r**n underflows to 0 are evaluated
+    (np.power is slow on subnormal and zero results): the terms beyond
+    are c * (+-0.0), which leave the sum's bits unchanged, as the sum
+    never holds -0.0.  A mode or a sum that overflows float range
+    raises ValueError.
     """
-    _validate_count(count)
+    _validate_grid(count, sample_period)
     n = np.arange(count, dtype=float)
     out = np.zeros(count)
-    for m in spec.modes:
-        term = m.coefficient * np.power(math.exp(-m.decay_rate * sample_period), n)
-        if m.angular_frequency != 0.0:
-            term = term * np.cos(m.angular_frequency * sample_period * n)
-        out += term
+    with np.errstate(over="ignore"):  # overflow raises below, or in Signal
+        for m in spec.modes:
+            try:
+                r = math.exp(-m.decay_rate * sample_period)
+            except OverflowError:  # then r**n overflows from n = 1 on
+                r = math.inf
+            t = n[: math.ceil(_LOG_UNDERFLOW / math.log(r)) + 2] if 0.0 < r < 1.0 else n
+            term = m.coefficient * np.power(r, t)
+            if r > 1.0 and not np.isfinite(term).all():
+                raise ValueError(f"{m} overflows float range within {count} samples of period {sample_period:g}")
+            if m.angular_frequency != 0.0:
+                if not math.isfinite(m.angular_frequency * sample_period * (t.size - 1)):
+                    raise ValueError(f"{m} has a phase past float range within {count} samples")
+                term = term * np.cos(m.angular_frequency * sample_period * t)
+            out[: t.size] += term
     return Signal(
         samples=out,
         sample_period=sample_period,
@@ -192,7 +219,7 @@ def gen_y5(count: int) -> Signal:
     The k = 3 and k = 6 terms have sin(2*pi*k/3) = 0 exactly and are
     dropped at construction, leaving 5 distinct exponential modes.
     """
-    _validate_count(count)
+    _validate_grid(count)
     half_sqrt3 = math.sqrt(3.0) / 2.0
     modes = []
     for k in range(1, 8):
@@ -233,7 +260,7 @@ def gen_high_order(
     decaying exponential exp(-x) or a sinusoid sin(x).  The default time
     scale schedule is s_k = k.
     """
-    _validate_count(count)
+    _validate_grid(count, sample_period)
     if f0 not in ("sinusoid", "exponential"):
         raise ValueError(f"f0 must be 'sinusoid' or 'exponential', got {f0!r}")
     if n0 < 1 or m < 1:
@@ -276,7 +303,7 @@ def gen_nonhomogeneous(count: int, sample_period: float = 1.0) -> tuple[Signal, 
     A = 1/(0.9 - 1/8); the excitation is u[n] = exp(-n*T/8).  The output
     consists of exactly two exponential modes (one pole, one zero).
     """
-    _validate_count(count)
+    _validate_grid(count, sample_period)
     amp = 1.0 / (0.9 - 0.125)
     y_modes = ModeSum([Mode(amp, 0.125), Mode(-amp, 0.9)])
     u_modes = ModeSum([Mode(1.0, 0.125)])
@@ -357,7 +384,7 @@ def rational_mode_sum(
     the exact rational rank oracle without any float-to-rational
     laundering.
     """
-    _validate_count(count)
+    _validate_grid(count)
     pairs = [(Fraction(c), Fraction(r)) for c, r in modes]
     out = []
     for n in range(count):

@@ -1,8 +1,16 @@
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hankelorder import RankPolicy, Signal, gen_y5, hokalman_order, write_signal_csv, write_sweep_csv
-from hankelorder.cli import main
+from hankelorder import RankPolicy, Signal, gen_y5, hokalman_order, list_experiments, write_signal_csv, write_sweep_csv
+from hankelorder.cli import ESTIMATE_METHODS, GENERATE_FAMILIES, main
 
 
 def _y5_csv(tmp_path, count=40):
@@ -30,6 +38,23 @@ class TestGenerate:
         with pytest.raises(SystemExit) as err:
             main(["generate", "chirp", "--out", str(tmp_path / "x.csv")])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "modes, message",
+        [
+            (["--mode", "1,-800"], "error: Mode(coefficient=1.0, decay_rate=-800.0, angular_frequency=0.0) "
+                                   "overflows float range within 5 samples of period 1\n"),
+            (["--mode", "1e308,0", "--mode", "1e308,0"], "error: the coefficients of the modes with "
+                                                         "decay_rate=0, angular_frequency=0 sum past float range\n"),
+        ],
+    )
+    def test_overflowing_modes_exit_two_with_one_line(self, tmp_path, capsys, modes, message):
+        out = tmp_path / "m.csv"
+        assert main(["generate", "mode_sum", *modes, "--count", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_mode_sum_with_modes(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -183,6 +208,17 @@ class TestExperiment:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_fig5_rows_past_the_error_bound_exit_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "fig5.csv"
+        assert main(["experiment", "fig5_high_order_exp", "--cond-n-max", "18", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cond_dps=50 is too low: H_14 has condition 2.59e+37, "
+            "resolved at 50 digits only to about 10^-11 relative\n"
+        )
+        assert not out.exists()
+        assert main(["experiment", "fig5_high_order_exp", "--cond-n-max", "13", "--out", str(out)]) == 0
+
     def test_fig5_condition_past_the_order_is_inf(self, tmp_path, capsys):
         out = tmp_path / "fig5.csv"
         argv = ["experiment", "fig5_high_order_exp", "--n0", "10", "--cond-n-max", "13", "--out", str(out)]
@@ -200,6 +236,21 @@ class TestExperiment:
         lines = out.read_text().splitlines()
         assert lines[-2:] == ["# section: onsets", "trial,onset_plain,onset_offset"]
         assert len([line for line in lines if line.startswith(("plain,", "offset,"))]) == 18
+
+    def test_override_that_prefixes_a_common_flag(self, tmp_path, capsys):
+        # fig3's parameter p is not an abbreviation of --policy
+        out = tmp_path / "fig3.csv"
+        argv = ["experiment", "fig3_pole_proximity", "--p", "12", "--q-max", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert "# param p: 12\n" in out.read_text()
+
+    @pytest.mark.parametrize("name", ["offset_effect", "echelon_effect"])
+    @pytest.mark.parametrize("snr_db", ["-inf", "6166.0", "-7000.0"])
+    def test_snr_past_float_range_exits_two_with_one_line(self, tmp_path, capsys, name, snr_db):
+        out = tmp_path / "x.csv"
+        assert main(["experiment", name, "--snr-db", snr_db, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: snr_db={float(snr_db)!r} puts the noise amplitude outside float range\n"
+        assert not out.exists()
 
     def test_fig3_with_empty_q_range(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"
@@ -299,3 +350,99 @@ class TestListAndHelp:
         with pytest.raises(SystemExit) as err:
             main(["--policy", "psychic", "list"])
         assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: argv drawn from the CLI's flag grammar with bounded sizes, and any
+# bytes (or any finite floats) as the signal CSV.  Every invocation must exit
+# 0, or 2 with one stderr line; a warning counts as a failure, since it would
+# print more lines.
+
+_EXPERIMENTS = {name: defaults for name, _, defaults in list_experiments()}
+_INT_BOUNDS = {"count": (-3, 2000), "cond_dps": (1, 80), "trials": (-2, 20)}
+_FINITE_FLOAT = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, -800.0]),
+)
+_ANY_FLOAT = st.one_of(_FINITE_FLOAT, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+
+
+def _flag(name: str, value) -> str:
+    return f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}"
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """An argv that argparse accepts; ``{signal}`` stands for the signal CSV."""
+    command = draw(st.sampled_from(["generate", "rank", "estimate", "experiment", "list"]))
+    argv = [command]
+    optional = []
+    if command == "generate":
+        argv += [draw(st.sampled_from(GENERATE_FAMILIES)), _flag("count", draw(st.integers(-2, 2000)))]
+        for _ in range(draw(st.integers(0, 3))):
+            # argparse itself rejects a non-finite mode (two lines: usage, error)
+            parts = draw(st.lists(_FINITE_FLOAT, min_size=2, max_size=3))
+            argv.append("--mode=" + ",".join(map(repr, parts)))
+        optional += [
+            _flag("sample-period", draw(_ANY_FLOAT)),
+            _flag("f0", draw(st.sampled_from(["sinusoid", "exponential"]))),
+            _flag("n0", draw(st.integers(-1, 60))),
+            _flag("m", draw(st.integers(-1, 3))),
+        ]
+    elif command == "rank":
+        argv.append("{signal}")
+        optional.append(_flag(draw(st.sampled_from(["n", "n-max"])), draw(st.integers(-3, 30))))
+    elif command == "estimate":
+        argv += ["{signal}", _flag("method", draw(st.sampled_from(ESTIMATE_METHODS)))]
+        lo, hi = draw(st.integers(-3, 30)), draw(st.integers(-3, 30))
+        optional += [
+            _flag("n-max", draw(st.integers(-3, 30))),
+            _flag("p-max", draw(st.integers(-3, 30))),
+            f"--m-range={lo}:{hi}",
+        ]
+    elif command == "experiment":
+        name = draw(st.sampled_from([*_EXPERIMENTS, "no_such_experiment"]))
+        argv.append(name)
+        defaults = _EXPERIMENTS.get(name, {})
+        for key in draw(st.lists(st.sampled_from(sorted(defaults) or ["n_max"]), unique=True, max_size=3)):
+            if isinstance(defaults.get(key), float):
+                value = repr(draw(_ANY_FLOAT))
+            else:
+                value = str(draw(st.integers(*_INT_BOUNDS.get(key, (-3, 30)))))
+            argv += ["--" + key.replace("_", "-"), value]
+    optional += [
+        _flag("seed", draw(st.integers(-2, 5))),
+        _flag("policy", draw(st.sampled_from(["relative", "absolute", "gap"]))),
+        _flag("tol", draw(_ANY_FLOAT)),
+    ]
+    return argv + draw(st.lists(st.sampled_from(optional), unique=True))
+
+
+def _signal_csv(values: list[float]) -> bytes:
+    return ("n,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values))).encode()
+
+
+_SIGNAL_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300).map(_signal_csv),
+)
+
+
+# derandomized, so every run of the suite tries the same 300 invocations
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_cli_argv(), signal=_SIGNAL_BYTES)
+def test_any_invocation_exits_zero_or_two_with_one_line(argv, signal):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "signal.csv"
+        path.write_bytes(signal)
+        argv = [a.replace("{signal}", str(path)) for a in argv] + ["--out", str(Path(tmp) / "out.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert "Traceback" not in err.getvalue()

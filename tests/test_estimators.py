@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,7 @@ TALL_INPUTS = {
         f"y5_noisy_seed{seed}": (lambda seed=seed: add_noise(gen_y5(5000), NoiseSpec(1e-6, seed)), 20)
         for seed in range(5)
     },
+    "y5_noisy_n_max40": (lambda: add_noise(gen_y5(5000), NoiseSpec(1e-6, 7)), 40),
     "fig4_family": (lambda: gen_high_order("sinusoid", 50, 1100, 1), 60),
     "fig5_family": (lambda: gen_high_order("exponential", 50, 1100, 1), 60),
 }
@@ -170,6 +172,73 @@ class TestTallSweep:
         _, sweep = hokalman_order(signal, 12, columns="square")
         assert sweep.points == _dense_sweep(signal, 12, None, monkeypatch, columns="square").points
 
+    @pytest.mark.parametrize("blocks, extra", [(1, 0), (3, 0), (3, 1), (16, 5), (17, 0), (300, 7)])
+    def test_blocked_r_matches_one_qr(self, blocks, extra):
+        # whole blocks with and without leftover rows, one group, a group
+        # and a block, and two levels of the reduction
+        c = 6
+        rows = blocks * estimators._TALL_ROWS_PER_COL * c + extra
+        w = np.random.default_rng(blocks + extra).standard_normal((2, rows, c)) @ np.diag(10.0 ** -np.arange(c))
+        r = estimators._tall_r(w)
+        assert r.shape == (2, c, c)
+        assert np.array_equal(r, np.triu(r))
+        want = np.linalg.svd(np.linalg.qr(w, mode="r"), compute_uv=False)
+        got = np.linalg.svd(r, compute_uv=False)
+        assert np.all(np.abs(got - want) <= 1e-13 * want[:, :1])
+
+    def test_multilevel_reduction_factors_at_most_one_group_per_call(self, monkeypatch):
+        n_max, signal = 8, gen_y5(200_000)
+        block = estimators._TALL_ROWS_PER_COL * n_max
+        qr, calls = np.linalg.qr, []
+
+        def recording(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        _, sweep = hokalman_order(signal, n_max)
+        assert sweep.ranks == [2, 3, 4, 4, 5, 5, 5]
+        assert all(math.prod(shape[:-1]) <= estimators._TALL_ROWS_PER_COL * block for shape in calls)
+        # 199,993 rows = 1562 blocks of 128 (98 calls) + 57; then 12,553 rows
+        # = 98 blocks (7 calls) + 9; then 793 rows = 6 blocks (1 call) + 25;
+        # then one QR of the last 73 rows
+        assert [shape[1] for shape in calls[:98]] == [16] * 97 + [10]
+        assert [shape[1] for shape in calls[98:105]] == [16] * 6 + [2]
+        assert calls[105:] == [(1, 6, block, n_max), (1, 73, n_max)]
+
+    def test_stacked_reduction_factors_one_group_of_each_signal_per_call(self, monkeypatch):
+        n_max, k = 8, 3
+        samples = np.array([add_noise(gen_y5(20_000), NoiseSpec(1e-6, seed)).samples for seed in range(k)])
+        block = estimators._TALL_ROWS_PER_COL * n_max
+        qr, calls = np.linalg.qr, []
+
+        def recording(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        estimators._rank_sweeps(samples, n_max, "all", None)
+        # 19,993 rows = 156 blocks of 128 (10 calls) + 25; then 1,273 rows
+        # = 9 blocks + 121; then 193 rows = 1 block + 65; then one QR of 73
+        groups = [16] * 9 + [12, 9, 1]
+        assert calls == [(k, g, block, n_max) for g in groups] + [(k, 73, n_max)]
+
+    def test_tall_stack_of_long_signals_matches_one_sweep_per_signal(self):
+        signals = [add_noise(gen_y5(20_000), NoiseSpec(1e-6, seed)) for seed in range(3)]
+        sweeps = estimators._rank_sweeps(np.array([s.samples for s in signals]), 20, "all", None)
+        assert [sw.points for sw in sweeps] == [hokalman_order(s, 20)[1].points for s in signals]
+
+    def test_long_sweep_never_copies_the_whole_window_matrix(self):
+        # H_20^T of 2e5 samples holds 30.5 MiB; one QR of it copies all of it
+        signal = gen_y5(200_000)
+        tracemalloc.start()
+        try:
+            hokalman_order(signal, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_registered_experiments_stay_below_crossover(self):
         # the committed experiment CSVs print rounding-level gap and
         # condition values that only the dense path reproduces bit for bit
@@ -213,6 +282,18 @@ class TestStackedSweeps:
 
     def test_empty_stack(self):
         assert estimators._rank_sweeps(np.empty((0, 40)), 8, "all", None) == []
+        assert estimators._rank_sweeps(np.empty((0, 2000)), 12, "all", None) == []
+
+
+class TestOverflowingData:
+    def test_ar_fit_past_float_range_rejected(self):
+        signal = Signal(np.r_[np.zeros(9), 1e200])
+        with pytest.raises(ValueError, match="order-1 AR fit overflows float range"):
+            aic_order(signal, 3)
+
+    def test_covariance_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="order-2 lag covariance overflows float range"):
+            covariance_determinants(Signal(np.full(10, 1e154)), range(2, 4))
 
 
 class TestPlateauOnset:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hankelorder import ExperimentSpec, list_experiments, run_experiment
+from hankelorder import experiments
 from hankelorder.experiments import _exp_family_conditions
 
 EXPECTED_NAMES = [
@@ -305,6 +306,19 @@ class TestFig5ConditionLog:
     def test_too_few_digits_for_the_requested_n_is_rejected(self):
         with pytest.raises(ValueError, match="cond_dps=20 is too low"):
             _exp_family_conditions(50, 1, range(2, 13), 20)
+
+    def test_rows_past_the_error_bound_are_rejected(self, monkeypatch):
+        # n * cond * 1e-50 is 8.6e-16 at n = 13 and 3.6e-12 at n = 14; the
+        # rows below the bound are exactly the ones a 120-digit run confirms
+        resolved = _exp_family_conditions(50, 1, range(2, 14), 50)
+        reference = _exp_family_conditions(50, 1, range(2, 15), 120)
+        assert resolved == reference[:-1]
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_COND_LOG10_RESOLUTION", math.inf)
+            assert _exp_family_conditions(50, 1, [14], 50) != reference[-1:]
+        for top in (14, 18):
+            with pytest.raises(ValueError, match=r"cond_dps=50 is too low: H_14 has condition 2\.59e\+37"):
+                _exp_family_conditions(50, 1, range(2, top + 1), 50)
 
     def test_never_calls_mpmath_svd(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

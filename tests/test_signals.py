@@ -94,6 +94,59 @@ class TestGenModeSum:
         sig = gen_mode_sum(ModeSum([Mode(1.0, 1.0)]), 3, sample_period=2.0)
         assert sig.samples == pytest.approx([1.0, math.exp(-2.0), math.exp(-4.0)], rel=1e-14)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        decay=st.floats(1e-4, 800.0),
+        count=st.integers(1, 60_000),
+        sign=st.sampled_from([1.0, -1.0]),
+        frequency=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        period=st.sampled_from([1.0, 0.37, 3.0]),
+    )
+    @example(decay=1.0 / 70.0, count=60_000, sign=1.0, frequency=0.0, period=1.0)
+    @example(decay=math.log(2.0), count=1080, sign=-1.0, frequency=0.0, period=1.0)
+    def test_underflow_skip_is_byte_identical(self, decay, count, sign, frequency, period):
+        # reference: every sample through np.power, as before the skip
+        spec = ModeSum([Mode(sign * 0.6, decay, frequency), Mode(0.3, 0.25 * decay)])
+        n = np.arange(count, dtype=float)
+        want = np.zeros(count)
+        for m in spec.modes:
+            term = m.coefficient * np.power(math.exp(-m.decay_rate * period), n)
+            if m.angular_frequency != 0.0:
+                term = term * np.cos(m.angular_frequency * period * n)
+            want += term
+        assert gen_mode_sum(spec, count, period).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("decay, count", [(-800.0, 5), (-800.0, 2), (-1.0, 1000), (-400.0, 3)])
+    def test_overflowing_mode_rejected_by_name(self, decay, count):
+        with pytest.raises(ValueError, match=re.escape(f"Mode(coefficient=1.0, decay_rate={decay}")):
+            gen_mode_sum(ModeSum([Mode(1.0, decay)]), count)
+
+    def test_growing_mode_within_range_is_kept(self):
+        assert gen_mode_sum(ModeSum([Mode(1.0, -800.0)]), 1).samples.tolist() == [1.0]
+        assert gen_mode_sum(ModeSum([Mode(1.0, -LN2)]), 4).samples.tolist() == [1.0, 2.0, 4.0, 8.0]
+
+    def test_phase_past_float_range_rejected_by_name(self):
+        with pytest.raises(ValueError, match=re.escape("angular_frequency=1e+306) has a phase past float range")):
+            gen_mode_sum(ModeSum([Mode(1.0, 0.0, 1e306)]), 439)
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="samples must all be finite"):
+            gen_mode_sum(ModeSum([Mode(1e308, 0.0), Mode(1e308, 1e-300, 1e-3)]), 3)
+
+    def test_overflowing_merged_coefficient_rejected_by_name(self):
+        with pytest.raises(ValueError, match="decay_rate=0, angular_frequency=0 sum past float range"):
+            ModeSum([Mode(1e308, 0.0), Mode(1e308, 0.0)])
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_sample_period_rejected_before_synthesis(self, period):
+        for generate in (
+            lambda: gen_mode_sum(ModeSum([Mode(1.0, 0.5)]), 5, period),
+            lambda: gen_high_order("sinusoid", 2, 5, sample_period=period),
+            lambda: gen_nonhomogeneous(5, period),
+        ):
+            with pytest.raises(ValueError, match="sample_period must be finite and > 0"):
+                generate()
+
 
 class TestGenY5:
     def test_first_sample_matches_direct_summation(self):
