@@ -21,7 +21,7 @@ import numpy as np
 
 from .hankel import _windows
 from .rank import RankPolicy, _decide, default_policy
-from .signals import Signal, _write_csv
+from .signals import Signal, _fmt, _write_csv
 
 __all__ = [
     "METHOD_HOKALMAN",
@@ -192,10 +192,17 @@ def _rank_sweeps(
     samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
 ) -> list[RankSweep]:
     """The rank sweep over n = n_min..n_max of each row of a (k, L) stack
-    of samples (k may be 0), with one LAPACK SVD call per n for the whole
-    stack.  A stacked SVD gives each matrix bit for bit the singular
-    values a call on that matrix alone gives.  ``policy`` None means the
-    per-matrix default policy."""
+    of finite samples (k may be 0), with one LAPACK SVD call per n for
+    the whole stack.  A stacked SVD gives each matrix bit for bit the
+    singular values a call on that matrix alone gives.  ``policy`` None
+    means the per-matrix default policy.
+
+    "square" sweeps need L >= 2 n_max - 1; "all" sweeps need only
+    L >= n_max, so their n x (L - n + 1) matrices turn wide to tall past
+    n = (L + 1) / 2 (the plateau rule of ``hokalman_order`` needs the
+    2 n_max - 1 of ``_check_sweep_length``).  A largest singular value
+    past float range raises ValueError naming the matrix shape and the
+    largest |y|."""
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
     if n_max < 2:
@@ -203,18 +210,33 @@ def _rank_sweeps(
     if columns not in ("all", "square"):
         raise ValueError("columns must be 'all' or 'square'")
     size = samples.shape[-1]
+    if columns == "square":
+        _check_sweep_length(size, n_max)
+    elif size < n_max:
+        raise ValueError(f"signal has {size} samples but a sweep to n = {n_max} requires at least {n_max}")
+    points: list[list[SweepPoint]] = [[] for _ in range(len(samples))]
+    try:
+        for shape, matrices in _sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min):
+            spectra = np.linalg.svd(matrices, compute_uv=False)
+            decisions = _decide(spectra, policy if policy is not None else default_policy(shape))
+            for row, (rank, gap, cond) in zip(points, decisions):
+                row.append(SweepPoint(shape[0], rank, gap, cond))
+    except ValueError:  # np.linalg.LinAlgError is one, and _decide's non-finite spectrum
+        raise ValueError(
+            f"the largest singular value of the {shape[0]} x {shape[1]} Hankel matrix of a signal "
+            f"with max |y| = {_fmt(float(np.abs(samples).max()))} leaves float range"
+        ) from None
+    return [RankSweep(tuple(row)) for row in points]
+
+
+def _check_sweep_length(size: int, n_max: int) -> None:
+    """A sweep to n_max whose n x n matrices fit in the signal needs
+    2 n_max - 1 samples."""
     if size < 2 * n_max - 1:
         raise ValueError(
             f"signal has {size} samples but a sweep to n = {n_max} "
             f"requires 2n - 1 = {2 * n_max - 1}"
         )
-    points: list[list[SweepPoint]] = [[] for _ in range(len(samples))]
-    for shape, matrices in _sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min):
-        spectra = np.linalg.svd(matrices, compute_uv=False)
-        decisions = _decide(spectra, policy if policy is not None else default_policy(shape))
-        for row, (rank, gap, cond) in zip(points, decisions):
-            row.append(SweepPoint(shape[0], rank, gap, cond))
-    return [RankSweep(tuple(row)) for row in points]
 
 
 def hokalman_order(
@@ -244,6 +266,7 @@ def hokalman_order(
     """
     if plateau_len < 1:
         raise ValueError("plateau_len must be >= 1")
+    _check_sweep_length(len(signal), n_max)
     [sweep] = _rank_sweeps(signal.samples[None], n_max, columns, policy)
     ranks = sweep.ranks
     tail = ranks[-plateau_len:]

@@ -10,18 +10,23 @@ written.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import mpmath
+# Not used here: bench/tracer.py wraps experiments.mpmath.svd_r, and a test
+# checks that name resolves, until the benchmark drops that entry.
+import mpmath  # noqa: F401
 import numpy as np
 
 from . import __version__
 from .estimators import (
+    _check_sweep_length,
     _order_str,
     _rank_sweeps,
     _sweep_rows,
@@ -32,7 +37,7 @@ from .estimators import (
 )
 from .hankel import BOTTOM, RIGHT, build_augmented, build_hankel, build_rectangular_hankel, row_echelon
 from .rank import _decide, default_policy, singular_values
-from .signals import Mode, ModeSum, NoiseSpec, _fmt, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
+from .signals import Mode, ModeSum, NoiseSpec, _fmt, _noisy, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
 
 __all__ = ["ExperimentSpec", "ExperimentSummary", "list_experiments", "run_experiment"]
 
@@ -69,10 +74,14 @@ def _rank_of(entries: np.ndarray) -> int:
     return _decide(singular_values(entries).values[None], default_policy(entries.shape))[0][0]
 
 
-def _stack(signals: Iterable, k: int, count: int) -> np.ndarray:
-    """(k, count) array of the samples of k signals, filled one signal at a
-    time so they are never all alive together; k may be 0."""
-    return np.fromiter((s.samples for s in signals), np.dtype((float, count)), count=k)
+def _stack(rows: Iterable[np.ndarray], k: int, count: int) -> np.ndarray:
+    """(k, count) array of k sample rows, filled one row at a time so they
+    are never all alive together; k may be 0.  Noise that carries a sample
+    past float range raises ValueError, as it does in a Signal."""
+    out = np.fromiter(rows, np.dtype((float, count)), count=k)
+    if not np.isfinite(out).all():
+        raise ValueError("samples must all be finite")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,32 +98,40 @@ def _run_fig2(params: dict, seed: int) -> tuple[str, list[Section]]:
 def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
     p = params["p"]
     count = params["count"]
+    n_max = params["n_max"]
     levels = [0.0, params["noise_rel_small"], params["noise_rel_large"]]
     qs = range(params["q_min"], params["q_max"] + 1)
-    cleans = {q: gen_mode_sum(pole_pair_modes(p, q), count) for q in qs}
+    cleans = {q: gen_mode_sum(pole_pair_modes(p, q), count).samples for q in qs}
     grid = list(itertools.product(range(len(levels)), qs))
 
-    def signal(level_idx: int, q: int):
+    def row(level_idx: int, q: int) -> np.ndarray:
         clean, rel = cleans[q], levels[level_idx]
         if rel > 0.0:
-            amp = rel * float(np.abs(clean.samples).max())
-            return add_noise(clean, NoiseSpec(amp, seed + 97 * q + level_idx))
+            amp = rel * float(np.abs(clean).max())
+            return _noisy(clean, NoiseSpec(amp, seed + 97 * q + level_idx))
         return clean
 
-    samples = _stack(itertools.starmap(signal, grid), len(grid), count)
-    sweeps = _rank_sweeps(samples, params["n_max"], "square", None, params["n_min"])
+    samples = _stack(itertools.starmap(row, grid), len(grid), count)
+    sweeps = _rank_sweeps(samples, n_max, "square", None, params["n_min"])
     rows = [
         (levels[level_idx], q, pt.n, pt.rank)
         for (level_idx, q), sweep in zip(grid, sweeps)
         for pt in sweep.points
     ]
-    # empirical q0: first q at which the noise-free rank at n_max drops below 2
-    q0 = None
-    for q in range(1, params["q_scan_max"] + 1):
-        clean = gen_mode_sum(pole_pair_modes(p, q), count)
-        if _rank_of(build_hankel(clean, params["n_max"]).entries) < 2:
-            q0 = q
-            break
+    # empirical q0: first q at which the noise-free rank at n_max drops
+    # below 2.  The grid's noise-free sweeps (its first len(qs)) hold that
+    # rank when they reach n_max; any other q is swept at n_max alone, one
+    # q at a time, so the scan still stops at q0.
+    grid_ranks = {q: sweep.points[-1].rank for q, sweep in zip(qs, sweeps) if sweep.points}
+
+    def clean_rank(q: int) -> int:
+        if q in grid_ranks:
+            return grid_ranks[q]
+        clean = gen_mode_sum(pole_pair_modes(p, q), count).samples
+        [sweep] = _rank_sweeps(clean[None], n_max, "square", None, n_min=n_max)
+        return sweep.points[0].rank
+
+    q0 = next((q for q in range(1, params["q_scan_max"] + 1) if clean_rank(q) < 2), None)
     headline = f"q0={q0 if q0 is not None else 'none'}"
     return headline, [("rank_grid", "noise,q,n,rank", rows)]
 
@@ -140,6 +157,14 @@ def _run_fig4(params: dict, seed: int) -> tuple[str, list[Section]]:
 
 # A condition row is written only if its relative error bound is below 1e-15.
 _COND_LOG10_RESOLUTION = -15.0
+# A decimal number's relative rounding error wobbles tenfold across a decade
+# (a binary one's twofold), so it takes about dps + 2 digits to round as
+# finely throughout as binary arithmetic of dps decimal digits
+# (round((dps + 1) log2 10) bits).
+_DECIMAL_GUARD = 2
+# The samples come from a power table this many digits wider still, so each
+# is its exact value rounded once.
+_SAMPLE_GUARD = 10
 
 
 def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -> list[tuple[int, float]]:
@@ -148,7 +173,9 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
 
     Double precision saturates near cond ~ 1e16..1e17 (both the SVD and
     the float64 quantization of the samples), so samples and spectra are
-    evaluated at ``dps`` decimal digits.
+    evaluated in stdlib ``decimal`` arithmetic of ``dps`` decimal digits
+    (plus two guard digits, which make decimal rounding about as fine as
+    binary rounding of dps digits), in a fresh local context.
 
     For n <= m*n0, H_n = V D V^T with distinct nodes e^(-1/k) and positive
     weights, so it is symmetric positive definite, and every H_n is the
@@ -157,7 +184,7 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
     M_n = L_n^-1 are leading blocks, and M_n^T M_n = H_n^-1.  sigma_1 is
     the Rayleigh quotient of H_n at the top eigenvector of float64(H_n),
     and 1/sigma_n = ||M_n w||^2 / ||w||^2 at the top right singular vector
-    w of float64(M_n), both evaluated at ``dps`` digits.  A Rayleigh
+    w of float64(M_n), both evaluated in the same decimal arithmetic.  A Rayleigh
     quotient's error is quadratic in its vector's error, and float64
     vectors are accurate to about 1e-16 only because the top eigenvalues
     of H_n and of H_n^-1 are well separated; the method relies on that,
@@ -178,28 +205,35 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
     order = m * n0
     size = max((n for n in n_values if n <= order), default=0)
     conds = {n: math.inf for n in n_values}
-    with mpmath.workdps(dps):
+    # fresh contexts, so the caller's rounding or traps cannot leak in
+    ctx = decimal.Context(prec=dps + _DECIMAL_GUARD)
+    with decimal.localcontext(decimal.Context(prec=ctx.prec + _SAMPLE_GUARD)) as wide:
         # y[n] = (1/n0) sum_k lam_k^n with lam_k = e^(-1/k): one exp per term
-        lams = [mpmath.exp(mpmath.mpf(-1) / k) for k in range(1, order + 1)]
-        powers = [mpmath.mpf(1)] * len(lams)
+        lams = [(Decimal(-1) / k).exp() for k in range(1, order + 1)]
+        powers = [Decimal(1)] * len(lams)
         vals = []
         for _ in range(2 * size - 1):
-            vals.append(mpmath.fsum(powers) / n0)
-            powers = [pw * lam for pw, lam in zip(powers, lams)]
+            vals.append(ctx.plus(sum(powers) / n0))
+            powers = list(map(wide.multiply, powers, lams))
+    with decimal.localcontext(ctx):
+
+        def dot(a, b):
+            return sum(map(ctx.multiply, a, b))
+
         # lower-triangular rows of L (Cholesky of H_size) and of M = L^-1
         chol: list[list] = []
         inv: list[list] = []
         for i in range(size):
             row = []
             for j in range(i):
-                row.append((vals[i + j] - mpmath.fdot(row, chol[j][:j])) / chol[j][j])
-            pivot = vals[2 * i] - mpmath.fdot(row, row)
+                row.append((vals[i + j] - dot(row, chol[j])) / chol[j][j])
+            pivot = vals[2 * i] - dot(row, row)
             if pivot <= 0:
                 raise ValueError(f"cond_dps={dps} is too low: H_{i + 1} is not positive definite at {dps} digits")
-            row.append(mpmath.sqrt(pivot))
+            row.append(pivot.sqrt())
             chol.append(row)
             diag = 1 / row[i]
-            inv_row = [-diag * mpmath.fdot(row[j:i], [inv[k][j] for k in range(j, i)]) for j in range(i)]
+            inv_row = [-diag * dot(row[j:i], [inv[k][j] for k in range(j, i)]) for j in range(i)]
             inv.append(inv_row + [diag])
         samples = np.array([float(v) for v in vals])
         h_float = samples[np.add.outer(np.arange(size), np.arange(size))]
@@ -210,12 +244,12 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
             # an entry of M_n past float range makes sigma_1 / sigma_n >= y[0] * entry^2 overflow too
             if n > order or not np.isfinite(m_float[:n, :n]).all():
                 continue
-            v = [mpmath.mpf(x) for x in np.linalg.eigh(h_float[:n, :n])[1][:, -1]]
-            hv = [mpmath.fdot(vals[i : i + n], v) for i in range(n)]
-            top = mpmath.fdot(hv, v) / mpmath.fdot(v, v)
-            w = [mpmath.mpf(x) for x in np.linalg.svd(m_float[:n, :n])[2][0]]
-            mw = [mpmath.fdot(inv[i], w[: i + 1]) for i in range(n)]
-            conds[n] = float(top * mpmath.fdot(mw, mw) / mpmath.fdot(w, w))
+            v = list(map(Decimal, np.linalg.eigh(h_float[:n, :n])[1][:, -1].tolist()))
+            hv = [dot(vals[i : i + n], v) for i in range(n)]
+            top = dot(hv, v) / dot(v, v)
+            w = list(map(Decimal, np.linalg.svd(m_float[:n, :n])[2][0].tolist()))
+            mw = [dot(inv[i], w) for i in range(n)]
+            conds[n] = float(top * dot(mw, mw) / dot(w, w))
     for n in n_values:
         if n > order:
             continue
@@ -274,18 +308,17 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
         raise ValueError("trials must be >= 0")
     count = params["count"]
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
-    shifted = add_offset(base, params["offset"])
+    pair = np.stack([base.samples, add_offset(base, params["offset"]).samples])
     amp = _noise_amplitude(base.samples, params["snr_db"])
 
-    def signals():
-        # the two noise-free signals, then a plain and an offset copy of
-        # each trial's noise
-        yield from (base, shifted)
+    def rows():
+        # the two noise-free signals, then each trial's one draw added to both
+        yield from pair
         for t in range(params["trials"]):
-            noise = NoiseSpec(amp, seed + t)
-            yield from (add_noise(base, noise), add_noise(shifted, noise))
+            yield from _noisy(pair, NoiseSpec(amp, seed + t))
 
-    samples = _stack(signals(), 2 + 2 * params["trials"], count)
+    samples = _stack(rows(), 2 + 2 * params["trials"], count)
+    _check_sweep_length(count, params["n_max"])  # onsets need every n x n matrix, as in hokalman_order
     sweeps = _rank_sweeps(samples, params["n_max"], "all", None)
 
     rows_free = [
@@ -314,15 +347,13 @@ def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     amp = _noise_amplitude(base.samples, params["snr_db"])
     noisy = add_noise(base, NoiseSpec(amp, seed))
+    [sweep] = _rank_sweeps(noisy.samples[None], params["n_max"], "all", None)
     rows = []
-    last = None
-    for n in range(2, params["n_max"] + 1):
-        mat = build_rectangular_hankel(noisy, n, count - n + 1)
-        svd_rank = _rank_of(mat.entries)
+    for pt in sweep.points:
+        mat = build_rectangular_hankel(noisy, pt.n, count - pt.n + 1)
         _, pivots = row_echelon(mat.entries, params["echelon_tol"])
-        rows.append((n, svd_rank, pivots))
-        last = (svd_rank, pivots)
-    headline = f"svd_rank={last[0]};echelon_rank={last[1]}"
+        rows.append((pt.n, pt.rank, pivots))
+    headline = f"svd_rank={rows[-1][1]};echelon_rank={rows[-1][2]}"
     return headline, [("comparison", "n,svd_rank,echelon_rank", rows)]
 
 

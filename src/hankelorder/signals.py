@@ -314,6 +314,15 @@ def gen_nonhomogeneous(count: int, sample_period: float = 1.0) -> tuple[Signal, 
     return y, u
 
 
+def _noisy(samples: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """samples (..., L) plus one seeded uniform draw of L values, added to
+    every row alike; samples itself at zero amplitude."""
+    if noise.amplitude == 0.0:
+        return samples
+    rng = np.random.default_rng(noise.seed)
+    return samples + rng.uniform(-noise.amplitude, noise.amplitude, samples.shape[-1])
+
+
 def add_noise(signal: Signal, noise: NoiseSpec) -> Signal:
     """Add an independent seeded uniform draw to every sample.
 
@@ -323,10 +332,8 @@ def add_noise(signal: Signal, noise: NoiseSpec) -> Signal:
     """
     if noise.amplitude == 0.0:
         return signal
-    rng = np.random.default_rng(noise.seed)
-    draws = rng.uniform(-noise.amplitude, noise.amplitude, len(signal))
     return Signal(
-        samples=signal.samples + draws,
+        samples=_noisy(signal.samples, noise),
         sample_period=signal.sample_period,
         provenance=f"{signal.provenance} + uniform_noise(amp={noise.amplitude:g}, seed={noise.seed})",
         true_order=signal.true_order,

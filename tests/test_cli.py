@@ -97,6 +97,22 @@ class TestRank:
         assert err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("count", [40, 400])
+    @pytest.mark.parametrize("command", [["rank"], ["estimate", "--method", "hokalman"]])
+    def test_signal_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capsys, command, count):
+        # 40 samples take the dense sweep (its spectrum overflows), 400 the
+        # tall QR path (its SVD does not converge); both name the data
+        src = write_signal_csv(Signal(np.full(count, 1.7976931348623157e308)), tmp_path / "max.csv")
+        out = tmp_path / "o.csv"
+        assert main([command[0], str(src), *command[1:], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: the largest singular value of the 2 x {count - 1} Hankel matrix of a signal "
+            "with max |y| = 1.7976931348623157e+308 leaves float range\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_single_n_rank(self, tmp_path, capsys):
         src = _y5_csv(tmp_path)
         code = main(["rank", str(src), "--n", "8", "--out", str(tmp_path / "o.csv")])

@@ -284,6 +284,21 @@ class TestStackedSweeps:
         assert estimators._rank_sweeps(np.empty((0, 40)), 8, "all", None) == []
         assert estimators._rank_sweeps(np.empty((0, 2000)), 12, "all", None) == []
 
+    def test_sample_count_each_layout_needs(self):
+        y = gen_y5(10).samples[None]
+        # "all" columns need a column per matrix; past n = 5.5 the matrices turn tall
+        [sweep] = estimators._rank_sweeps(y, 10, "all", None)
+        assert [p.n for p in sweep.points] == list(range(2, 11))
+        assert sweep.points[-1].rank == 1  # the 10 x 1 matrix
+        with pytest.raises(ValueError, match="signal has 10 samples but a sweep to n = 11 requires at least 11"):
+            estimators._rank_sweeps(y, 11, "all", None)
+        with pytest.raises(ValueError, match=r"signal has 10 samples but a sweep to n = 6 requires 2n - 1 = 11"):
+            estimators._rank_sweeps(y, 6, "square", None)
+        # the plateau rule needs every n x n matrix, whatever the layout
+        for columns in ("all", "square"):
+            with pytest.raises(ValueError, match=r"requires 2n - 1 = 11"):
+                hokalman_order(gen_y5(10), 6, columns=columns)
+
 
 class TestOverflowingData:
     def test_ar_fit_past_float_range_rejected(self):

@@ -1,3 +1,4 @@
+import decimal
 import math
 from pathlib import Path
 
@@ -5,8 +6,26 @@ import mpmath
 import numpy as np
 import pytest
 
-from hankelorder import ExperimentSpec, list_experiments, run_experiment
+from hankelorder import (
+    ExperimentSpec,
+    Mode,
+    ModeSum,
+    NoiseSpec,
+    add_noise,
+    add_offset,
+    build_hankel,
+    build_rectangular_hankel,
+    default_policy,
+    gen_mode_sum,
+    list_experiments,
+    numerical_rank,
+    plateau_onset,
+    pole_pair_modes,
+    run_experiment,
+    singular_values,
+)
 from hankelorder import experiments
+from hankelorder.estimators import _rank_sweeps
 from hankelorder.experiments import _exp_family_conditions
 
 EXPECTED_NAMES = [
@@ -57,6 +76,18 @@ def parse_sections(text: str) -> dict[str, list[list[str]]]:
             else:
                 sections[current].append(line.split(","))
     return sections
+
+
+def _defaults(name: str) -> dict:
+    return dict((n, d) for n, _, d in list_experiments())[name]
+
+
+def _rank(entries) -> int:
+    return numerical_rank(singular_values(entries), default_policy(entries.shape)).rank
+
+
+def _csv_rows(rows) -> list[list[str]]:
+    return [[format(x, ".17g") if isinstance(x, float) else str(x) for x in row] for row in rows]
 
 
 class TestRegistry:
@@ -194,6 +225,44 @@ class TestFig3:
         assert all(int(r[3]) in (1, 2) for r in clean)
         assert any(int(r[3]) == 2 for r in clean)
 
+    @staticmethod
+    def _scan_q0(params: dict):
+        """The q0 scan on its own: square H_{n_max} of each clean signal,
+        one at a time, until the rank drops below 2."""
+        for q in range(1, params["q_scan_max"] + 1):
+            clean = gen_mode_sum(pole_pair_modes(params["p"], q), params["count"])
+            if _rank(build_hankel(clean, params["n_max"]).entries) < 2:
+                return q
+        return None
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"q_min": 5}, {"q_min": 5, "q_max": 4}, {"n_min": 9, "n_max": 8}, {"q_scan_max": 3}, {"q_max": 30}],
+    )
+    def test_q0_equals_the_scan_on_its_own(self, tmp_path, overrides):
+        summary = run_experiment(ExperimentSpec("fig3_pole_proximity", overrides), tmp_path / "fig3.csv")
+        q0 = self._scan_q0({**_defaults("fig3_pole_proximity"), **overrides})
+        assert summary.headline == f"q0={q0 if q0 is not None else 'none'}"
+
+    def test_scan_computes_no_rank_the_grid_holds(self, tmp_path, monkeypatch):
+        synthesised, swept = [], []
+
+        def recording_modes(p, q):
+            synthesised.append(q)
+            return pole_pair_modes(p, q)
+
+        def recording_sweeps(samples, n_max, columns, policy, n_min=2):
+            swept.append((len(samples), n_min))
+            return _rank_sweeps(samples, n_max, columns, policy, n_min)
+
+        monkeypatch.setattr(experiments, "pole_pair_modes", recording_modes)
+        monkeypatch.setattr(experiments, "_rank_sweeps", recording_sweeps)
+        summary = run_experiment(ExperimentSpec("fig3_pole_proximity"), tmp_path / "fig3.csv")
+        assert summary.headline == "q0=18"
+        # the grid's 16 clean signals, then only the q past the grid up to q0
+        assert synthesised == list(range(1, 17)) + [17, 18]
+        assert swept == [(48, 2), (1, 8), (1, 8)]
+
 
 class TestFig1Table1:
     def test_headline_order_five_and_sections(self, tmp_path):
@@ -231,6 +300,45 @@ class TestSec33:
 
 
 class TestOffsetEffect:
+    @staticmethod
+    def _reference(params: dict, seed: int) -> dict[str, list[list[str]]]:
+        """The offset rows from one Signal per sweep: two add_noise calls
+        with the same NoiseSpec per trial, each signal swept on its own."""
+        count, n_max = params["count"], params["n_max"]
+        base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
+        shifted = add_offset(base, params["offset"])
+        amp = experiments._noise_amplitude(base.samples, params["snr_db"])
+
+        def sweep(signal):
+            return _rank_sweeps(signal.samples[None], n_max, "all", None)[0]
+
+        free = [(label, p.n, p.rank) for label, s in (("plain", base), ("offset", shifted)) for p in sweep(s).points]
+        onsets = []
+        for t in range(params["trials"]):
+            noise = NoiseSpec(amp, seed + t)
+            on_plain, on_offset = (plateau_onset(sweep(add_noise(s, noise))) for s in (base, shifted))
+            onsets.append((t, on_plain, on_offset))
+        return {"noise_free_sweep": _csv_rows(free), "onsets": _csv_rows(onsets)}
+
+    @pytest.mark.parametrize("overrides", [{}, {"snr_db": math.inf}])
+    def test_rows_equal_one_signal_per_sweep(self, tmp_path, overrides):
+        path = tmp_path / "offset.csv"
+        run_experiment(ExperimentSpec("offset_effect", overrides), path)
+        params = {**_defaults("offset_effect"), **overrides}
+        assert parse_sections(path.read_text()) == self._reference(params, 80)
+
+    def test_one_noise_draw_per_trial(self, tmp_path, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run_experiment(ExperimentSpec("offset_effect", {"trials": 7}), tmp_path / "offset.csv")
+        assert seeds == list(range(80, 87))
+
     def test_onsets_reported_for_every_trial(self, tmp_path):
         path = tmp_path / "offset.csv"
         summary = run_experiment(ExperimentSpec("offset_effect"), path)
@@ -256,6 +364,17 @@ class TestEchelonEffect:
         rows = parse_sections(path.read_text())["comparison"]
         assert len(rows) == 9
         assert summary.headline.startswith("svd_rank=")
+
+    @pytest.mark.parametrize("count", [40, 15, 10])
+    def test_svd_ranks_equal_one_matrix_at_a_time(self, tmp_path, count):
+        # below 2 n_max - 1 samples the n x (count - n + 1) matrices turn tall
+        path = tmp_path / "echelon.csv"
+        run_experiment(ExperimentSpec("echelon_effect", {"count": count}), path)
+        params = {**_defaults("echelon_effect"), "count": count}
+        base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
+        noisy = add_noise(base, NoiseSpec(experiments._noise_amplitude(base.samples, params["snr_db"]), 90))
+        ranks = [_rank(build_rectangular_hankel(noisy, n, count - n + 1).entries) for n in range(2, 11)]
+        assert [int(r[1]) for r in parse_sections(path.read_text())["comparison"]] == ranks
 
 
 class TestDeterminism:
@@ -328,6 +447,27 @@ class TestFig5ConditionLog:
         monkeypatch.setattr(mpmath, "eigsy", refuse)
         summary = run_experiment(ExperimentSpec("fig5_high_order_exp"), tmp_path / "fig5.csv")
         assert summary.headline == GOLDEN_HEADLINES["fig5_high_order_exp"]
+
+
+class _NoMpmath:
+    def __getattr__(self, name):
+        raise AssertionError(f"mpmath.{name} used")
+
+
+class TestFig5WithoutMpmath:
+    def test_condition_log_and_fig5_make_no_mpmath_call(self, tmp_path, monkeypatch):
+        expected = _exp_family_conditions(50, 1, range(2, 14), 50)
+        monkeypatch.setattr(experiments, "mpmath", _NoMpmath())
+        assert _exp_family_conditions(50, 1, range(2, 14), 50) == expected
+        out = tmp_path / "fig5_high_order_exp.csv"
+        summary = run_experiment(ExperimentSpec("fig5_high_order_exp"), out)
+        assert summary.headline == GOLDEN_HEADLINES["fig5_high_order_exp"]
+        assert out.read_bytes() == (GOLDEN_DIR / out.name).read_bytes()
+
+    def test_caller_context_does_not_leak_in(self):
+        expected = _exp_family_conditions(50, 1, range(2, 11), 50)
+        with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)):
+            assert _exp_family_conditions(50, 1, range(2, 11), 50) == expected
 
 
 class TestBatchedSvdCalls:
