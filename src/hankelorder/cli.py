@@ -8,13 +8,13 @@ requested artifact was fully written; argument or data errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .estimators import (
-    RankSweep,
-    SweepPoint,
     _order_str,
+    _rank_sweeps,
     aic_order,
     covariance_determinants,
     covdet_order,
@@ -24,8 +24,7 @@ from .estimators import (
     write_sweep_csv,
 )
 from .experiments import ExperimentSpec, list_experiments, run_experiment
-from .hankel import build_hankel
-from .rank import RankPolicy, _decide, default_policy, singular_values
+from .rank import RankPolicy
 from .signals import (
     Mode,
     ModeSum,
@@ -102,6 +101,10 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--out", type=Path, default=d, help="output CSV path")
 
 
+# Built on the first main() call and shared by later ones: parsing leaves a
+# parser as it was, and every default it holds (the --mode append list
+# included) is immutable or None.
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hankelorder",
@@ -177,10 +180,9 @@ def _cmd_rank(args, policy: RankPolicy | None) -> int:
     signal = read_signal_csv(args.input)
     out = args.out or Path("rank_sweep.csv")
     if args.n is not None:
-        mat = build_hankel(signal, args.n).entries
-        [(rank, gap, cond)] = _decide(singular_values(mat).values[None], policy or default_policy(mat.shape))
-        write_sweep_csv(RankSweep((SweepPoint(args.n, rank, gap, cond),)), out)
-        print(f"order={rank}")
+        [sweep] = _rank_sweeps(signal.samples[None], args.n, "square", policy, n_min=args.n)
+        write_sweep_csv(sweep, out)
+        print(f"order={sweep.points[0].rank}")
         return 0
     estimate, sweep = hokalman_order(signal, args.n_max, policy)
     write_sweep_csv(sweep, out)

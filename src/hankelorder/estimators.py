@@ -195,7 +195,8 @@ def _rank_sweeps(
     of finite samples (k may be 0), with one LAPACK SVD call per n for
     the whole stack.  A stacked SVD gives each matrix bit for bit the
     singular values a call on that matrix alone gives.  ``policy`` None
-    means the per-matrix default policy.
+    means the per-matrix default policy.  n_max must be >= 2, except
+    for the one-point sweep n_min = n_max = 1.
 
     "square" sweeps need L >= 2 n_max - 1; "all" sweeps need only
     L >= n_max, so their n x (L - n + 1) matrices turn wide to tall past
@@ -205,8 +206,8 @@ def _rank_sweeps(
     largest |y|."""
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    if n_max < min(n_min, 2):
+        raise ValueError(f"n_max must be >= {min(n_min, 2)}")
     if columns not in ("all", "square"):
         raise ValueError("columns must be 'all' or 'square'")
     size = samples.shape[-1]

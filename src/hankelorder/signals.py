@@ -12,6 +12,8 @@ predictable way.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -316,11 +318,13 @@ def gen_nonhomogeneous(count: int, sample_period: float = 1.0) -> tuple[Signal, 
 
 def _noisy(samples: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     """samples (..., L) plus one seeded uniform draw of L values, added to
-    every row alike; samples itself at zero amplitude."""
+    every row alike; samples itself at zero amplitude.  A sum past float
+    range is inf, which the callers' finiteness checks reject."""
     if noise.amplitude == 0.0:
         return samples
     rng = np.random.default_rng(noise.seed)
-    return samples + rng.uniform(-noise.amplitude, noise.amplitude, samples.shape[-1])
+    with np.errstate(over="ignore"):
+        return samples + rng.uniform(-noise.amplitude, noise.amplitude, samples.shape[-1])
 
 
 def add_noise(signal: Signal, noise: NoiseSpec) -> Signal:
@@ -433,8 +437,21 @@ def _write_csv(
             columns = [[_fmt(x) for x in column] for column in zip(*chunk)]
             lines += map(",".join, zip(*columns))
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path as UTF-8, as ``Path.write_text`` does, but
+    overwrite an existing file in place and then cut it to the written
+    length, instead of opening it with O_TRUNC: ext4 (auto_da_alloc, its
+    default) flushes a file truncated to zero at close.  Only a regular
+    file is cut, so pipes and devices such as /dev/null work; symlinks
+    are written through.  Like ``Path.write_text``, it is not atomic."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _write_sidecar(path: Path, signals: Sequence[Signal]) -> None:
@@ -446,7 +463,7 @@ def _write_sidecar(path: Path, signals: Sequence[Signal]) -> None:
             line += f" | true_order={s.true_order}"
         parts.append(line)
     sidecar = path.with_name(path.name + ".provenance.txt")
-    sidecar.write_text(" ;; ".join(parts) + "\n", encoding="utf-8")
+    _write_text(sidecar, " ;; ".join(parts) + "\n")
 
 
 def write_signal_csv(signal: Signal, path: str | Path) -> Path:
@@ -475,21 +492,32 @@ def read_signal_csv(path: str | Path) -> Signal:
     ValueError naming the file and line.
     """
     path = Path(path)
-    rows = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not rows:
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if text.isascii() and "#" not in text and lines == text.split():
+        # a plain file, as write_signal_csv writes it: every line is a row
+        # and holds no whitespace to strip
+        linenos = range(1, len(lines) + 1)
+    else:
+        rows = [
+            (lineno, line.strip())
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.startswith("#")
+        ]
+        linenos = [lineno for lineno, _ in rows]
+        lines = [line for _, line in rows]
+    if not lines:
         raise ValueError(f"{path}: empty signal file")
-    header = [c.strip() for c in rows[0][1].split(",")]
+    header = [c.strip() for c in lines[0].split(",")]
     if header[:2] not in (["n", "value"], ["n", "y"]):
-        raise ValueError(f"{path}: expected header 'n,value' or 'n,y,u', got {rows[0][1]!r}")
-    if len(rows) == 1:
+        raise ValueError(f"{path}: expected header 'n,value' or 'n,y,u', got {lines[0]!r}")
+    if len(lines) == 1:
         raise ValueError(f"{path}: no data rows")
-    data = rows[1:]
+    data = lines[1:]
     try:
-        table = np.loadtxt([text for _, text in data], delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         table = None
     if (
@@ -498,11 +526,11 @@ def read_signal_csv(path: str | Path) -> Signal:
         or not np.array_equal(table[:, 0], np.arange(len(data)))
         or not np.isfinite(table[:, 1]).all()
     ):
-        raise _bad_row(path, data, header)
+        raise _bad_row(path, zip(linenos[1:], data), header)
     return Signal(samples=table[:, 1], provenance=f"loaded:{path.name}")
 
 
-def _bad_row(path: Path, data: list[tuple[int, str]], header: list[str]) -> ValueError:
+def _bad_row(path: Path, data: Iterable[tuple[int, str]], header: list[str]) -> ValueError:
     """The error for the first data row that is not n followed by numbers
     (one per header field) with a finite loaded value."""
     for index, (lineno, text) in enumerate(data):

@@ -9,8 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelorder import RankPolicy, Signal, gen_y5, hokalman_order, list_experiments, write_signal_csv, write_sweep_csv
-from hankelorder.cli import ESTIMATE_METHODS, GENERATE_FAMILIES, main
+from hankelorder import (
+    Mode,
+    ModeSum,
+    RankPolicy,
+    Signal,
+    gen_mode_sum,
+    gen_y5,
+    hokalman_order,
+    list_experiments,
+    write_signal_csv,
+    write_sweep_csv,
+)
+from hankelorder.cli import ESTIMATE_METHODS, GENERATE_FAMILIES, _make_parser, main
 
 
 def _y5_csv(tmp_path, count=40):
@@ -113,12 +124,41 @@ class TestRank:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_single_n_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capsys):
+        src = write_signal_csv(Signal(np.full(40, 1.7976931348623157e308)), tmp_path / "max.csv")
+        out = tmp_path / "o.csv"
+        assert main(["rank", str(src), "--n", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the largest singular value of the 5 x 5 Hankel matrix of a signal "
+            "with max |y| = 1.7976931348623157e+308 leaves float range\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_single_n_rank(self, tmp_path, capsys):
         src = _y5_csv(tmp_path)
         code = main(["rank", str(src), "--n", "8", "--out", str(tmp_path / "o.csv")])
         assert code == 0
         assert capsys.readouterr().out.strip() == "order=5"
 
+    def test_single_n_one(self, tmp_path, capsys):
+        src = _y5_csv(tmp_path)
+        out = tmp_path / "o.csv"
+        assert main(["rank", str(src), "--n", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "order=1\n"
+        assert out.read_text().splitlines() == ["n,rank,gap,condition", "1,1,inf,1"]
+
+    def test_out_to_dev_null(self, tmp_path, capsys):
+        assert main(["rank", str(_y5_csv(tmp_path)), "--out", "/dev/null"]) == 0
+        assert capsys.readouterr().out == "order=5\n"
+
+    def test_out_to_a_directory_exits_two_with_one_line(self, tmp_path, capsys):
+        assert main(["rank", str(_y5_csv(tmp_path)), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, policy",
@@ -268,6 +308,15 @@ class TestExperiment:
         assert capsys.readouterr().err == f"error: snr_db={float(snr_db)!r} puts the noise amplitude outside float range\n"
         assert not out.exists()
 
+    def test_noise_past_float_range_exits_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["experiment", "offset_effect", "--offset", "1.7e308", "--snr-db", "-6160", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: samples must all be finite\n"
+        assert not out.exists()
+
     def test_fig3_with_empty_q_range(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"
         argv = ["experiment", "fig3_pole_proximity", "--q-min", "5", "--q-max", "4", "--out", str(out)]
@@ -368,6 +417,58 @@ class TestListAndHelp:
         assert err.value.code == 2
 
 
+class TestOneParserPerProcess:
+    """main() builds its parser once and shares it: no call may see
+    another's flags."""
+
+    def test_parser_is_built_once_across_calls(self, tmp_path, capsys):
+        _make_parser.cache_clear()
+        for k in range(20):
+            argv = ["list"] if k % 2 else ["generate", "y5", "--count", "5", "--out", str(tmp_path / f"{k}.csv")]
+            assert main(argv) == 0
+        info = _make_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+
+    def test_appended_modes_do_not_leak_into_the_next_call(self, tmp_path):
+        out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        assert main(["generate", "mode_sum", "--mode", "1,0.5", "--mode", "2,0.1", "--count", "12",
+                     "--out", str(out)]) == 0
+        assert main(["generate", "mode_sum", "--count", "12", "--out", str(out)]) == 0
+        default = write_signal_csv(gen_mode_sum(ModeSum([Mode(1.0, 0.5)]), 12), fresh)
+        assert out.read_bytes() == default.read_bytes()
+
+    def test_single_n_then_sweep(self, tmp_path, capsys):
+        src = _y5_csv(tmp_path)
+        single, sweep = tmp_path / "single.csv", tmp_path / "sweep.csv"
+        assert main(["rank", str(src), "--n", "6", "--out", str(single)]) == 0
+        assert main(["rank", str(src), "--n-max", "8", "--out", str(sweep)]) == 0
+        assert capsys.readouterr().out == "order=4\norder=5\n"  # the 6 x 6 matrix alone reads 4
+        assert len(sweep.read_text().splitlines()) == 1 + 7  # n = 2..8
+
+    @pytest.mark.parametrize("rejected", [["--tol", "0.5"], ["--n-max", "eight"], ["--no-such-flag"]])
+    def test_a_rejected_call_leaves_the_next_one_alone(self, tmp_path, capsys, rejected):
+        src = _y5_csv(tmp_path)
+        try:
+            code = main(["rank", str(src), *rejected, "--out", str(tmp_path / "x.csv")])
+        except SystemExit as exc:  # argparse usage errors exit from inside main
+            code = exc.code
+        assert code == 2
+        capsys.readouterr()
+        assert main(["rank", str(src), "--out", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr() == ("order=5\n", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"], ["experiment", "--help"]])
+    def test_help_matches_a_fresh_parser(self, tmp_path, capsys, argv):
+        assert main(["rank", str(_y5_csv(tmp_path)), "--n", "6", "--out", str(tmp_path / "o.csv")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(argv)
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            _make_parser.__wrapped__().parse_args(argv)
+        assert capsys.readouterr().out == cached
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: argv drawn from the CLI's flag grammar with bounded sizes, and any
 # bytes (or any finite floats) as the signal CSV.  Every invocation must exit
@@ -445,6 +546,14 @@ _SIGNAL_BYTES = st.one_of(
 )
 
 
+def _parsed(parser, argv: list[str]):
+    try:
+        args, extras = parser.parse_known_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return repr(sorted(vars(args).items())), extras
+
+
 # derandomized, so every run of the suite tries the same 300 invocations
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_cli_argv(), signal=_SIGNAL_BYTES)
@@ -456,6 +565,8 @@ def test_any_invocation_exits_zero_or_two_with_one_line(argv, signal):
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
+            # the shared parser reads argv as a freshly built one does
+            assert _parsed(_make_parser(), argv) == _parsed(_make_parser.__wrapped__(), argv)
             code = main(argv)
     assert code in (0, 2), argv
     if code == 2:

@@ -1,6 +1,8 @@
 import math
+import os
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +400,46 @@ class TestCsv:
             read_signal_csv(path)
 
 
+class TestRewrite:
+    """Existing files are overwritten in place and cut to the written length."""
+
+    def test_shorter_rewrite_leaves_no_stale_bytes(self, tmp_path):
+        path, fresh = tmp_path / "sig.csv", tmp_path / "fresh.csv"
+        write_signal_csv(gen_y5(300), path)
+        write_signal_csv(gen_y5(7), path)
+        write_signal_csv(gen_y5(7), fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        sidecar = tmp_path / "sig.csv.provenance.txt"
+        assert sidecar.read_bytes() == (tmp_path / "fresh.csv.provenance.txt").read_bytes()
+
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("x" * 10_000, encoding="utf-8")
+        path.chmod(0o600)
+        before = path.stat()
+        write_signal_csv(gen_y5(5), path)
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert read_signal_csv(path).samples.tobytes() == gen_y5(5).samples.tobytes()
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            path = write_signal_csv(gen_y5(5), tmp_path / "sig.csv")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_symlink_is_written_through_and_kept(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("stale " * 1000, encoding="utf-8")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_signal_csv(gen_y5(5), link)
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == write_signal_csv(gen_y5(5), tmp_path / "f.csv").read_text()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(-0.0)
@@ -425,6 +467,112 @@ def test_pair_csv_loads_y_bit_for_bit(tmp_path_factory, pairs):
     u = Signal(np.array([b for _, b in pairs]))
     path = write_pair_csv(y, u, tmp_path_factory.mktemp("pair") / "pair.csv")
     assert read_signal_csv(path).samples.tobytes() == y.samples.tobytes()
+
+
+def _reference_read_signal_csv(path):
+    """read_signal_csv before its plain-file fast path: every file takes
+    the filtered, stripped lines."""
+    path = Path(path)
+    rows = [
+        (lineno, line.strip())
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if line.strip() and not line.startswith("#")
+    ]
+    if not rows:
+        raise ValueError(f"{path}: empty signal file")
+    header = [c.strip() for c in rows[0][1].split(",")]
+    if header[:2] not in (["n", "value"], ["n", "y"]):
+        raise ValueError(f"{path}: expected header 'n,value' or 'n,y,u', got {rows[0][1]!r}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows")
+    data = rows[1:]
+    try:
+        table = np.loadtxt([text for _, text in data], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if (
+        table is None
+        or table.shape[1] != len(header)
+        or not np.array_equal(table[:, 0], np.arange(len(data)))
+        or not np.isfinite(table[:, 1]).all()
+    ):
+        for index, (lineno, text) in enumerate(data):
+            try:
+                numbers = list(map(float, text.split(",")))
+            except ValueError:
+                numbers = []
+            if len(numbers) != len(header) or numbers[0] != index or not math.isfinite(numbers[1]):
+                raise ValueError(
+                    f"{path}:{lineno}: bad row {text!r}: expected {len(header)} numeric fields, "
+                    f"n = {index} and a finite {header[1]}"
+                )
+        raise ValueError(f"{path}: unreadable signal data")
+    return Signal(samples=table[:, 1], provenance=f"loaded:{path.name}")
+
+
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x1c", "\xa0"])
+_NUMBER = st.one_of(
+    finite.map(repr),
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "", "abc", "\u0663", "1\u0660", "\uff13", "0x1p0", "1_0"]),
+)
+
+
+@st.composite
+def _signal_text(draw) -> str:
+    """Text near the signal CSV format: mostly well-formed rows, with
+    comment, blank and whitespace-only lines, padded fields, mid-line
+    '#', wrong or missing fields and assorted line breaks.  Each file
+    has its own odds of a damaged row, an inserted odd line and a line
+    break other than its usual one, so plain files come up often."""
+    header = draw(st.sampled_from(["n,value", "n,value", "n,y,u", " n , value ", "n,value,", "n,x", "#n,value"]))
+    width = 3 if header == "n,y,u" else 2
+    damage, junk, mixed = (draw(st.sampled_from([0, 0, 2, 8])) for _ in range(3))
+    usual = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c"]))
+
+    def odds(n: int) -> bool:
+        return n > 0 and draw(st.integers(0, n)) == 0
+
+    lines = [header]
+    for i in range(draw(st.integers(0, 12))):
+        fields = [str(i)] + [repr(draw(finite)) for _ in range(width - 1)]
+        if odds(damage):
+            k = draw(st.integers(0, len(fields)))
+            action = draw(st.sampled_from(["replace", "drop", "extra", "pad", "hash"]))
+            if action == "replace" and k < len(fields):
+                fields[k] = draw(_NUMBER)
+            elif action == "drop" and k < len(fields):
+                del fields[k]
+            elif action == "extra":
+                fields.insert(k, draw(_NUMBER))
+            elif action == "pad" and k < len(fields):
+                fields[k] = draw(_PAD) + fields[k] + draw(_PAD)
+            elif action == "hash":
+                fields.insert(k, "#")
+        lines.append(",".join(fields))
+        if odds(junk):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", "# note", " # note", " ", "\t \t", "\x0b", "\x1c", "#"])))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\n\n"])
+    text = "".join(line + (draw(breaks) if odds(mixed) else usual) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip(usual)
+
+
+def _outcome(reader, path):
+    try:
+        signal = reader(path)
+    except Exception as exc:  # the type and text of any failure must match too
+        return type(exc).__name__, str(exc)
+    return signal.samples.tobytes(), signal.provenance
+
+
+# derandomized, so every run of the suite tries the same files
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_signal_text())
+def test_reader_matches_the_reference_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("read") / "sig.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_signal_csv, path) == _outcome(_reference_read_signal_csv, path)
 
 
 @settings(max_examples=40, deadline=None)
