@@ -293,6 +293,31 @@ def plateau_onset(sweep: RankSweep) -> int:
     return sweep.points[i].n
 
 
+def _lag_matrix(y: np.ndarray, width: int, start: int) -> np.ndarray:
+    """The (len(y) - start) x width matrix with rows (y[n], y[n-1], ...,
+    y[n-width+1]) for n = start..len-1, copied C-contiguous from a reversed
+    window view: ``@`` on that negative-stride view skips BLAS and sums in
+    another order."""
+    return np.ascontiguousarray(_windows(y[start - width + 1 :], width)[:, ::-1])
+
+
+def _fits(lags: np.ndarray, orders: Iterable[int]) -> list[ArFit]:
+    """The order-p AR fit of column 0 of a lag matrix on its columns 1..p,
+    for each p in orders."""
+    fits = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in orders:
+            regressors, targets = lags[:, 1 : p + 1], lags[:, 0]
+            rcond = max(regressors.shape) * np.finfo(float).eps
+            coeffs, _, rank, _ = np.linalg.lstsq(regressors, targets, rcond=rcond)
+            residuals = targets - regressors @ coeffs
+            rss = float(residuals @ residuals)
+            if not math.isfinite(rss):
+                raise ValueError(f"the residual sum of squares of the order-{p} AR fit overflows float range")
+            fits.append(ArFit(coeffs, rss, int(rank), int(rank) < p))
+    return fits
+
+
 def ar_fit(signal: Signal, p: int, n_start: int | None = None) -> ArFit:
     """Least-squares fit of y[n] = sum_{i=1..p} a_i y[n-i].
 
@@ -310,25 +335,9 @@ def ar_fit(signal: Signal, p: int, n_start: int | None = None) -> ArFit:
         n_start = p
     if n_start < p:
         raise ValueError("n_start must be >= p")
-    y = signal.samples
-    idx = np.arange(n_start, len(y))
-    if idx.size < 1:
+    if n_start >= len(signal):
         raise ValueError("no regression rows available")
-    regressors = np.column_stack([y[idx - i] for i in range(1, p + 1)])
-    targets = y[idx]
-    rcond = max(regressors.shape) * np.finfo(float).eps
-    coeffs, _, rank, _ = np.linalg.lstsq(regressors, targets, rcond=rcond)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = targets - regressors @ coeffs
-        rss = float(residuals @ residuals)
-    if not math.isfinite(rss):
-        raise ValueError(f"the residual sum of squares of the order-{p} AR fit overflows float range")
-    return ArFit(
-        coefficients=coeffs,
-        rss=rss,
-        regressor_rank=int(rank),
-        rank_deficient=int(rank) < p,
-    )
+    return _fits(_lag_matrix(signal.samples, p + 1, n_start), [p])[0]
 
 
 def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
@@ -337,31 +346,20 @@ def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
     Every candidate is fit on the common window n = p_max..len-1, so the
     residual count K = len - p_max is the same for all p and the argmin
     is exactly invariant under positive scaling of the signal.
-    aic(p) = K * ln(rss/K) + 2p, with rss floored at 1e-300.
+    aic(p) = K * ln(rss/K) + 2p, with rss floored at 1e-300.  The
+    orders share one lag matrix; order p fits on its first p + 1 columns.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     if len(signal) < 2 * p_max + 1:
         raise ValueError(f"signal must have at least 2*p_max + 1 = {2 * p_max + 1} samples")
     k = len(signal) - p_max
-    rows = []
-    deficient = 0
-    best_p, best_val = None, math.inf
-    for p in range(1, p_max + 1):
-        fit = ar_fit(signal, p, n_start=p_max)
-        deficient += fit.rank_deficient
-        rss = max(fit.rss, RSS_FLOOR)
-        value = k * math.log(rss / k) + 2.0 * p
-        rows.append((p, fit.rss, value))
-        if value < best_val:
-            best_p, best_val = p, value
-    report = AicReport(tuple(rows), best_p)
-    estimate = OrderEstimate(
-        best_p,
-        METHOD_AIC,
-        {"p_max": p_max, "residual_count": k, "rank_deficient_fits": deficient},
-    )
-    return estimate, report
+    fits = _fits(_lag_matrix(signal.samples, p_max + 1, p_max), range(1, p_max + 1))
+    rows = tuple((p, f.rss, k * math.log(max(f.rss, RSS_FLOOR) / k) + 2.0 * p) for p, f in enumerate(fits, 1))
+    report = AicReport(rows, min(rows, key=lambda row: (row[2], row[0]))[0])
+    deficient = sum(f.rank_deficient for f in fits)
+    diagnostics = {"p_max": p_max, "residual_count": k, "rank_deficient_fits": deficient}
+    return OrderEstimate(report.selected, METHOD_AIC, diagnostics), report
 
 
 def covariance_determinants(signal: Signal, m_range: Iterable[int]) -> CovDetReport:
@@ -373,24 +371,24 @@ def covariance_determinants(signal: Signal, m_range: Iterable[int]) -> CovDetRep
     become linearly dependent and the determinant collapses toward zero.
     A covariance or determinant past float range raises ValueError.
     """
-    ms = [int(m) for m in m_range]
+    # a range's extremes are its ends, so a huge one is rejected unlisted
+    ms = m_range if isinstance(m_range, range) else [int(m) for m in m_range]
     if not ms:
         raise ValueError("m_range must be non-empty")
-    if any(m < 0 for m in ms):
+    extremes = (ms[0], ms[-1]) if isinstance(ms, range) else ms
+    if min(extremes) < 0:
         raise ValueError("orders must be >= 0")
-    if len(signal) < max(ms) + 2:
-        raise ValueError(f"signal must have at least max(m) + 2 = {max(ms) + 2} samples")
-    y = signal.samples
+    if len(signal) < max(extremes) + 2:
+        raise ValueError(f"signal must have at least max(m) + 2 = {max(extremes) + 2} samples")
     rows_out = []
-    for m in ms:
-        idx = np.arange(m, len(y))
-        lags = np.column_stack([y[idx - i] for i in range(m + 1)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = lags.T @ lags / idx.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in ms:
+            lags = _lag_matrix(signal.samples, m + 1, m)
+            cov = lags.T @ lags / len(lags)
             det = float(np.linalg.det(cov)) if np.isfinite(cov).all() else math.nan
-        if not math.isfinite(det):
-            raise ValueError(f"the determinant of the order-{m} lag covariance overflows float range")
-        rows_out.append((m, det))
+            if not math.isfinite(det):
+                raise ValueError(f"the determinant of the order-{m} lag covariance overflows float range")
+            rows_out.append((m, det))
     return CovDetReport(tuple(rows_out))
 
 

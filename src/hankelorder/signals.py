@@ -455,6 +455,10 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_sidecar(path: Path, signals: Sequence[Signal]) -> None:
+    """Write ``<path>.provenance.txt`` when path is a regular file; a
+    device or pipe such as /dev/null gets no sidecar beside it."""
+    if not path.is_file():
+        return
     parts = []
     for s in signals:
         line = s.provenance or "unspecified"

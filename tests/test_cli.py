@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelorder import (
@@ -152,6 +152,12 @@ class TestRank:
     def test_out_to_dev_null(self, tmp_path, capsys):
         assert main(["rank", str(_y5_csv(tmp_path)), "--out", "/dev/null"]) == 0
         assert capsys.readouterr().out == "order=5\n"
+
+    @pytest.mark.parametrize("family", ["y5", "nonhomogeneous"])
+    def test_generate_to_dev_null_writes_no_sidecar_beside_it(self, capsys, family):
+        assert main(["generate", family, "--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("wrote /dev/null\n", "")
+        assert not Path("/dev/null.provenance.txt").exists()
 
     def test_out_to_a_directory_exits_two_with_one_line(self, tmp_path, capsys):
         assert main(["rank", str(_y5_csv(tmp_path)), "--out", str(tmp_path)]) == 2
@@ -512,7 +518,8 @@ def _cli_argv(draw) -> list[str]:
         optional.append(_flag(draw(st.sampled_from(["n", "n-max"])), draw(st.integers(-3, 30))))
     elif command == "estimate":
         argv += ["{signal}", _flag("method", draw(st.sampled_from(ESTIMATE_METHODS)))]
-        lo, hi = draw(st.integers(-3, 30)), draw(st.integers(-3, 30))
+        # an upper bound up to 10^12 must exit 2 without listing the orders
+        lo, hi = draw(st.integers(-3, 30)), draw(st.integers(-3, 30) | st.integers(31, 10**12))
         optional += [
             _flag("n-max", draw(st.integers(-3, 30))),
             _flag("p-max", draw(st.integers(-3, 30))),
@@ -557,6 +564,8 @@ def _parsed(parser, argv: list[str]):
 # derandomized, so every run of the suite tries the same 300 invocations
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_cli_argv(), signal=_SIGNAL_BYTES)
+@example(argv=["estimate", "{signal}", "--method=covdet", "--m-range=2:1000000000000"],
+         signal=_signal_csv([1.0] * 40))
 def test_any_invocation_exits_zero_or_two_with_one_line(argv, signal):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "signal.csv"

@@ -500,3 +500,146 @@ def test_gap_policy_recovers_order_under_small_noise():
     assert noisy.true_order == 1
     est, _ = hokalman_order(noisy, 8, RankPolicy.gap())
     assert est.order == 1
+
+
+# ---------------------------------------------------------------------------
+# The AR baselines build their lag matrices from one window view; these
+# references are the per-order column stacks they replaced, kept verbatim.
+# The two must agree bit for bit, errors included.
+
+
+def _reference_ar_fit(signal, p, n_start=None):
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if len(signal) < 2 * p + 1:
+        raise ValueError(f"signal must have at least 2p + 1 = {2 * p + 1} samples")
+    if n_start is None:
+        n_start = p
+    if n_start < p:
+        raise ValueError("n_start must be >= p")
+    y = signal.samples
+    idx = np.arange(n_start, len(y))
+    if idx.size < 1:
+        raise ValueError("no regression rows available")
+    regressors = np.column_stack([y[idx - i] for i in range(1, p + 1)])
+    targets = y[idx]
+    rcond = max(regressors.shape) * np.finfo(float).eps
+    coeffs, _, rank, _ = np.linalg.lstsq(regressors, targets, rcond=rcond)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = targets - regressors @ coeffs
+        rss = float(residuals @ residuals)
+    if not math.isfinite(rss):
+        raise ValueError(f"the residual sum of squares of the order-{p} AR fit overflows float range")
+    return estimators.ArFit(
+        coefficients=coeffs,
+        rss=rss,
+        regressor_rank=int(rank),
+        rank_deficient=int(rank) < p,
+    )
+
+
+def _reference_aic_order(signal, p_max):
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+    if len(signal) < 2 * p_max + 1:
+        raise ValueError(f"signal must have at least 2*p_max + 1 = {2 * p_max + 1} samples")
+    k = len(signal) - p_max
+    rows = []
+    deficient = 0
+    best_p, best_val = None, math.inf
+    for p in range(1, p_max + 1):
+        fit = _reference_ar_fit(signal, p, n_start=p_max)
+        deficient += fit.rank_deficient
+        rss = max(fit.rss, estimators.RSS_FLOOR)
+        value = k * math.log(rss / k) + 2.0 * p
+        rows.append((p, fit.rss, value))
+        if value < best_val:
+            best_p, best_val = p, value
+    report = AicReport(tuple(rows), best_p)
+    estimate = estimators.OrderEstimate(
+        best_p,
+        estimators.METHOD_AIC,
+        {"p_max": p_max, "residual_count": k, "rank_deficient_fits": deficient},
+    )
+    return estimate, report
+
+
+def _reference_covariance_determinants(signal, m_range):
+    ms = [int(m) for m in m_range]
+    if not ms:
+        raise ValueError("m_range must be non-empty")
+    if any(m < 0 for m in ms):
+        raise ValueError("orders must be >= 0")
+    if len(signal) < max(ms) + 2:
+        raise ValueError(f"signal must have at least max(m) + 2 = {max(ms) + 2} samples")
+    y = signal.samples
+    rows_out = []
+    for m in ms:
+        idx = np.arange(m, len(y))
+        lags = np.column_stack([y[idx - i] for i in range(m + 1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = lags.T @ lags / idx.size
+            det = float(np.linalg.det(cov)) if np.isfinite(cov).all() else math.nan
+        if not math.isfinite(det):
+            raise ValueError(f"the determinant of the order-{m} lag covariance overflows float range")
+        rows_out.append((m, det))
+    return estimators.CovDetReport(tuple(rows_out))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _lag_outcome(call, *args):
+    """What a baseline returns, with every float as its bits, or the type
+    and text of what it raised."""
+    try:
+        result = call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, estimators.ArFit):
+        return _bits(result.coefficients), _bits([result.rss]), result.regressor_rank, result.rank_deficient
+    if isinstance(result, estimators.CovDetReport):
+        return [m for m, _ in result.per_order], _bits([d for _, d in result.per_order])
+    estimate, report = result
+    return (
+        [p for p, _, _ in report.per_order],
+        _bits([row[1:] for row in report.per_order]),
+        report.selected,
+        estimate.order,
+        estimate.diagnostics,
+    )
+
+
+@st.composite
+def _lag_signal(draw) -> Signal:
+    """Random, all-zero, constant and geometric signals (the last three
+    give rank-deficient regressors), some scaled far enough to overflow."""
+    size = draw(st.integers(3, 80))
+    kind = draw(st.sampled_from(["random", "random", "zero", "constant", "geometric"]))
+    if kind == "random":
+        samples = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    elif kind == "zero":
+        samples = np.zeros(size)
+    elif kind == "constant":
+        samples = np.full(size, draw(st.floats(-1e3, 1e3)))
+    else:
+        samples = draw(st.floats(-1.0, 1.0)) * draw(st.floats(-1.25, 1.25)) ** np.arange(size)
+    return Signal(samples * draw(st.sampled_from([1.0, 1.0, 1.0, 1e-200, 1e160, 1e300])))
+
+
+# derandomized, so every run of the suite tries the same signals
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(signal=_lag_signal(), data=st.data())
+def test_ar_baselines_match_the_column_stack_references(signal, data):
+    size = len(signal)
+    p_max = data.draw(st.integers(1, (size - 1) // 2), label="p_max")
+    assert _lag_outcome(aic_order, signal, p_max) == _lag_outcome(_reference_aic_order, signal, p_max)
+    p = data.draw(st.integers(1, (size - 1) // 2), label="p")
+    n_start = data.draw(st.none() | st.integers(p - 1, size), label="n_start")
+    assert _lag_outcome(ar_fit, signal, p, n_start) == _lag_outcome(_reference_ar_fit, signal, p, n_start)
+    ms = data.draw(st.lists(st.integers(-1, size - 1), min_size=1, max_size=6), label="ms")
+    orders = range(min(ms), max(ms) + 1)
+    for m_range in (ms, orders):
+        expected = _lag_outcome(_reference_covariance_determinants, signal, m_range)
+        assert _lag_outcome(covariance_determinants, signal, m_range) == expected
