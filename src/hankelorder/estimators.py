@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .hankel import _windows
-from .rank import RankPolicy, _decide, default_policy
+from .rank import EPS, RELATIVE, RankPolicy, _decide
 from .signals import Signal, _fmt, _write_csv
 
 __all__ = [
@@ -194,9 +194,12 @@ def _rank_sweeps(
     """The rank sweep over n = n_min..n_max of each row of a (k, L) stack
     of finite samples (k may be 0), with one LAPACK SVD call per n for
     the whole stack.  A stacked SVD gives each matrix bit for bit the
-    singular values a call on that matrix alone gives.  ``policy`` None
-    means the per-matrix default policy.  n_max must be >= 2, except
-    for the one-point sweep n_min = n_max = 1.
+    singular values a call on that matrix alone gives.  All n's spectra
+    go zero-padded into one (points, k, m_max + 1) array, and one
+    ``_decide`` call decides the whole sweep.  ``policy`` None means the
+    per-matrix default policy, whose cut max(rows, cols) * eps is taken
+    per n.  n_max must be >= 2, except for the one-point sweep
+    n_min = n_max = 1.
 
     "square" sweeps need L >= 2 n_max - 1; "all" sweeps need only
     L >= n_max, so their n x (L - n + 1) matrices turn wide to tall past
@@ -215,19 +218,32 @@ def _rank_sweeps(
         _check_sweep_length(size, n_max)
     elif size < n_max:
         raise ValueError(f"signal has {size} samples but a sweep to n = {n_max} requires at least {n_max}")
-    points: list[list[SweepPoint]] = [[] for _ in range(len(samples))]
+    sweep = list(_sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min))
+    shapes = np.array([shape for shape, _ in sweep], dtype=int).reshape(-1, 2)
+    lengths = shapes.min(1)
+    # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
+    spectra = np.zeros((len(sweep), len(samples), lengths.max(initial=1) + 1))
+    if policy is None:
+        kind, value = RELATIVE, shapes.max(1)[:, None] * EPS
+    else:
+        kind, value = policy.kind, policy.value
     try:
-        for shape, matrices in _sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min):
-            spectra = np.linalg.svd(matrices, compute_uv=False)
-            decisions = _decide(spectra, policy if policy is not None else default_policy(shape))
-            for row, (rank, gap, cond) in zip(points, decisions):
-                row.append(SweepPoint(shape[0], rank, gap, cond))
-    except ValueError:  # np.linalg.LinAlgError is one, and _decide's non-finite spectrum
+        for i, (_, matrices) in enumerate(sweep):
+            spectra[i, :, : lengths[i]] = np.linalg.svd(matrices, compute_uv=False)
+        ranks, gaps, conds = _decide(spectra, lengths[:, None], kind, value)
+    except ValueError:  # np.linalg.LinAlgError is one, and _decide's spectrum check
+        # name the first n whose SVD failed or gave a value past float range
+        i = next((j for j in range(i) if not np.isfinite(spectra[j]).all()), i)
+        shape = shapes[i]
         raise ValueError(
             f"the largest singular value of the {shape[0]} x {shape[1]} Hankel matrix of a signal "
             f"with max |y| = {_fmt(float(np.abs(samples).max()))} leaves float range"
         ) from None
-    return [RankSweep(tuple(row)) for row in points]
+    ns = shapes[:, 0].tolist()
+    return [
+        RankSweep(tuple(map(SweepPoint, ns, r, g, c)))
+        for r, g, c in zip(ranks.T.tolist(), gaps.T.tolist(), conds.T.tolist())
+    ]
 
 
 def _check_sweep_length(size: int, n_max: int) -> None:
@@ -284,8 +300,10 @@ def hokalman_order(
 
 def plateau_onset(sweep: RankSweep) -> int:
     """First n of the trailing constant-rank run (n_max if the last point
-    stands alone)."""
+    stands alone).  An empty sweep raises ValueError."""
     ranks = sweep.ranks
+    if not ranks:
+        raise ValueError("plateau_onset needs a sweep with at least one point; this sweep is empty")
     final = ranks[-1]
     i = len(ranks)
     while i > 0 and ranks[i - 1] == final:

@@ -36,7 +36,7 @@ from .estimators import (
     plateau_onset,
 )
 from .hankel import BOTTOM, RIGHT, build_augmented, build_hankel, build_rectangular_hankel, row_echelon
-from .rank import _decide, default_policy, singular_values
+from .rank import default_policy, numerical_rank, singular_values
 from .signals import Mode, ModeSum, NoiseSpec, _fmt, _noisy, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
 
 __all__ = ["ExperimentSpec", "ExperimentSummary", "list_experiments", "run_experiment"]
@@ -71,7 +71,7 @@ Section = tuple[str, str, Sequence[tuple]]  # (section name, column header, data
 
 
 def _rank_of(entries: np.ndarray) -> int:
-    return _decide(singular_values(entries).values[None], default_policy(entries.shape))[0][0]
+    return numerical_rank(singular_values(entries), default_policy(entries.shape)).rank
 
 
 def _stack(rows: Iterable[np.ndarray], k: int, count: int) -> np.ndarray:

@@ -148,53 +148,72 @@ def _check_spectra(spectra: np.ndarray) -> None:
         raise ValueError("singular values must be non-increasing")
 
 
-def _decide(spectra: np.ndarray, policy: RankPolicy) -> list[tuple[int, float, float]]:
-    """(rank, decision gap, condition) of each row of a (k, m) stack of
-    spectra under one policy.
+def _decide(
+    spectra: np.ndarray, lengths, kind: str, value
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rank, decision gap, condition) arrays, one entry per row of a
+    (..., m) stack of zero-padded spectra.
 
-    The stack is checked once; each row is then decided on Python floats.
-    relative/absolute thresholds count values strictly above the cut, and
-    the gap is sigma_rank / sigma_(rank+1) (+inf at rank 0, full rank or
-    an exact zero below the cut).  gap_ratio picks the first largest
-    consecutive drop (0/0 counts as no drop) provided it reaches
+    Row i holds its lengths[i] singular values followed by zeros, at
+    least one, so ``row[rank]`` exists and is 0 at full rank.  kind is a
+    policy kind, and value its value (tau_rel, tau_abs or min_ratio), a
+    scalar or one per row; ``lengths`` and ``value`` broadcast against
+    the rows.  The stack is checked once; the padding changes nothing the
+    check rejects, since a negative value shows as a rise into it.
+
+    relative/absolute thresholds count values strictly above the cut
+    (padding never is), and the gap is sigma_rank / sigma_(rank+1) (+inf
+    at rank 0, full rank or an exact zero below the cut).  gap_ratio
+    picks the first largest consecutive drop within the row (0/0 and
+    pairs past the row's length count as no drop) provided it reaches
     min_ratio, and otherwise reports full rank with the best (failing)
     gap.  An all-zero row has rank 0 and gap +inf.  The condition is
     sigma_max / sigma_min, +inf when sigma_min = 0.
     """
     _check_spectra(spectra)
-    kind, value = policy.kind, policy.value
-    out = []
-    for vals in spectra.tolist():
-        top, bottom, m = vals[0], vals[-1], len(vals)
-        cond = math.inf if bottom == 0.0 else top / bottom
-        if top == 0.0:
-            out.append((0, math.inf, cond))
-        elif kind == GAP:
-            best_i, best = None, 1.0
-            for i in range(m - 1):
-                hi, lo = vals[i], vals[i + 1]
-                ratio = 1.0 if hi == 0.0 else math.inf if lo == 0.0 else hi / lo
-                if ratio > best:
-                    best_i, best = i, ratio
-            rank = best_i + 1 if best_i is not None and best >= value else m
-            out.append((rank, best, cond))
+    width = spectra.shape[-1]
+    flat = spectra.reshape(-1)
+    starts = np.arange(0, flat.size, width).reshape(spectra.shape[:-1])  # flat index of each row
+    top = spectra[..., 0]
+    bottom = flat[starts + lengths - 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = top / bottom
+        cond[bottom == 0.0] = np.inf
+        if kind == GAP:
+            # a valid drop is >= 1; 0/0 (nan) and the drop into the padding count as none
+            ratios = spectra[..., :-1] / spectra[..., 1:]
+            pair_starts = np.arange(0, ratios.size, width - 1).reshape(ratios.shape[:-1])
+            ratios.reshape(-1)[pair_starts + lengths - 1] = 1.0
+            np.fmax(ratios, 1.0, out=ratios)
+            best_i = ratios.argmax(-1)
+            gap = ratios.reshape(-1)[pair_starts + best_i]
+            rank = np.where(gap >= value, best_i + 1, lengths)
+            zero = top == 0.0
+            rank[zero], gap[zero] = 0, np.inf
         else:
-            cut = value * top if kind == RELATIVE else value
-            rank = sum(v > cut for v in vals)
-            below = vals[rank] if 0 < rank < m else 0.0
-            out.append((rank, math.inf if below == 0.0 else vals[rank - 1] / below, cond))
-    return out
+            cut = np.asarray(value * top if kind == RELATIVE else value)
+            rank = (spectra > cut[..., None]).argmin(-1)  # rows end in padding, which never counts
+            gap = flat[starts + np.maximum(rank - 1, 0)] / flat[starts + rank]
+            gap[rank == 0] = np.inf
+    return rank, gap, cond
+
+
+def _decide_one(spectrum: SingularSpectrum, policy: RankPolicy) -> tuple[int, float, float]:
+    """``_decide`` on one spectrum, as Python numbers."""
+    padded = np.append(spectrum.values, 0.0)[None]
+    rank, gap, cond = _decide(padded, len(spectrum), policy.kind, policy.value)
+    return int(rank[0]), float(gap[0]), float(cond[0])
 
 
 def numerical_rank(spectrum: SingularSpectrum, policy: RankPolicy) -> RankResult:
     """Apply a policy to a spectrum (the rules are those of ``_decide``)."""
-    [(rank, gap, _)] = _decide(spectrum.values[None], policy)
+    rank, gap, _ = _decide_one(spectrum, policy)
     return RankResult(rank, policy, spectrum, gap)
 
 
 def condition_number(spectrum: SingularSpectrum) -> float:
     """sigma_max / sigma_min; +inf when sigma_min = 0."""
-    return _decide(spectrum.values[None], default_policy(spectrum.source_shape))[0][2]
+    return _decide_one(spectrum, default_policy(spectrum.source_shape))[2]
 
 
 def _as_integer_rows(matrix: Sequence[Sequence]) -> list[list[int]]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,18 @@ from hankelorder import (
     ModeSum,
     RankPolicy,
     Signal,
+    aic_order,
+    build_hankel,
+    covariance_determinants,
+    covdet_order,
+    default_policy,
     gen_mode_sum,
     gen_y5,
     hokalman_order,
     list_experiments,
+    numerical_rank,
+    read_signal_csv,
+    singular_values,
     write_signal_csv,
     write_sweep_csv,
 )
@@ -495,12 +504,26 @@ def _flag(name: str, value) -> str:
     return f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}"
 
 
+_NOW_AND_THEN = st.sampled_from([False] * 7 + [True])  # a misuse draw, about one in eight
+_TOLS = {"relative": st.floats(1e-15, 0.5), "absolute": st.floats(1e-12, 1e3), "gap": st.floats(1.5, 1e12)}
+
+
+def _size(draw) -> int:
+    """Mostly a size that a signal of 20 samples can sweep or fit."""
+    return draw(st.integers(-3, 30)) if draw(_NOW_AND_THEN) else draw(st.integers(1, 9))
+
+
 @st.composite
 def _cli_argv(draw) -> list[str]:
-    """An argv that argparse accepts; ``{signal}`` stands for the signal CSV."""
+    """An argv that argparse accepts; ``{signal}`` stands for the signal CSV.
+
+    --seed, --policy and --tol are offered where they apply and now and
+    then where they do not, so that most rank and estimate draws reach
+    the numerics and the misuse errors stay covered."""
     command = draw(st.sampled_from(["generate", "rank", "estimate", "experiment", "list"]))
     argv = [command]
     optional = []
+    decides_rank = command == "rank"
     if command == "generate":
         argv += [draw(st.sampled_from(GENERATE_FAMILIES)), _flag("count", draw(st.integers(-2, 2000)))]
         for _ in range(draw(st.integers(0, 3))):
@@ -515,14 +538,17 @@ def _cli_argv(draw) -> list[str]:
         ]
     elif command == "rank":
         argv.append("{signal}")
-        optional.append(_flag(draw(st.sampled_from(["n", "n-max"])), draw(st.integers(-3, 30))))
+        optional.append(_flag(draw(st.sampled_from(["n", "n-max"])), _size(draw)))
     elif command == "estimate":
-        argv += ["{signal}", _flag("method", draw(st.sampled_from(ESTIMATE_METHODS)))]
-        # an upper bound up to 10^12 must exit 2 without listing the orders
-        lo, hi = draw(st.integers(-3, 30)), draw(st.integers(-3, 30) | st.integers(31, 10**12))
+        method = draw(st.sampled_from(ESTIMATE_METHODS))
+        decides_rank = method == "hokalman"
+        argv += ["{signal}", _flag("method", method)]
+        lo, hi = _size(draw) - 1, _size(draw) + 8
+        if draw(_NOW_AND_THEN):  # an upper bound up to 10^12 must exit 2 without listing the orders
+            hi = draw(st.integers(-3, 30) | st.integers(31, 10**12))
         optional += [
-            _flag("n-max", draw(st.integers(-3, 30))),
-            _flag("p-max", draw(st.integers(-3, 30))),
+            _flag("n-max", _size(draw)),
+            _flag("p-max", _size(draw)),
             f"--m-range={lo}:{hi}",
         ]
     elif command == "experiment":
@@ -535,12 +561,18 @@ def _cli_argv(draw) -> list[str]:
             else:
                 value = str(draw(st.integers(*_INT_BOUNDS.get(key, (-3, 30)))))
             argv += ["--" + key.replace("_", "-"), value]
-    optional += [
-        _flag("seed", draw(st.integers(-2, 5))),
-        _flag("policy", draw(st.sampled_from(["relative", "absolute", "gap"]))),
-        _flag("tol", draw(_ANY_FLOAT)),
-    ]
-    return argv + draw(st.lists(st.sampled_from(optional), unique=True))
+    if command == "experiment" or draw(_NOW_AND_THEN):
+        optional.append(_flag("seed", draw(st.integers(-2, 5))))
+    if optional:
+        argv += draw(st.lists(st.sampled_from(optional), unique=True))
+    if draw(st.booleans()) if decides_rank else draw(_NOW_AND_THEN):
+        name = draw(st.sampled_from(sorted(_TOLS)))
+        if not draw(_NOW_AND_THEN):  # else a --tol without --policy
+            argv.append(_flag("policy", name))
+        tol = draw(_ANY_FLOAT) if draw(_NOW_AND_THEN) else draw(st.none() | _TOLS[name])
+        if tol is not None:
+            argv.append(_flag("tol", tol))
+    return argv
 
 
 def _signal_csv(values: list[float]) -> bytes:
@@ -548,9 +580,35 @@ def _signal_csv(values: list[float]) -> bytes:
 
 
 _SIGNAL_BYTES = st.one_of(
-    st.binary(max_size=200),
+    st.integers(20, 150).map(lambda count: _signal_csv(gen_y5(count).samples.tolist())),
+    st.lists(st.floats(-1e3, 1e3), min_size=20, max_size=150).map(_signal_csv),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300).map(_signal_csv),
+    st.binary(max_size=200),
 )
+
+_NOISY_Y5 = _signal_csv((gen_y5(40).samples + 1e-3 * np.random.default_rng(0).uniform(-1, 1, 40)).tolist())
+_POLICY_OF = {
+    "relative": lambda tol: RankPolicy.relative(1e-10 if tol is None else tol),
+    "absolute": RankPolicy.absolute,
+    "gap": lambda tol: RankPolicy.gap() if tol is None else RankPolicy.gap(tol),
+}
+
+
+def _library_order(args) -> str:
+    """The order line that direct library calls give for a rank or
+    estimate invocation that exited 0."""
+    signal = read_signal_csv(args.input)
+    policy = None if args.policy is None else _POLICY_OF[args.policy](args.tol)
+    if args.command == "rank" and args.n is not None:
+        spectrum = singular_values(build_hankel(signal, args.n).entries)
+        return f"order={numerical_rank(spectrum, policy or default_policy((args.n, args.n))).rank}"
+    if args.command == "rank" or args.method == "hokalman":
+        estimate = hokalman_order(signal, args.n_max, policy)[0]
+    elif args.method == "aic":
+        estimate = aic_order(signal, args.p_max)[0]
+    else:
+        estimate = covdet_order(covariance_determinants(signal, args.m_range))
+    return f"order={estimate.order if estimate.conclusive else 'inconclusive'}"
 
 
 def _parsed(parser, argv: list[str]):
@@ -561,24 +619,37 @@ def _parsed(parser, argv: list[str]):
     return repr(sorted(vars(args).items())), extras
 
 
-# derandomized, so every run of the suite tries the same 300 invocations
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=_cli_argv(), signal=_SIGNAL_BYTES)
-@example(argv=["estimate", "{signal}", "--method=covdet", "--m-range=2:1000000000000"],
-         signal=_signal_csv([1.0] * 40))
-def test_any_invocation_exits_zero_or_two_with_one_line(argv, signal):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "signal.csv"
-        path.write_bytes(signal)
-        argv = [a.replace("{signal}", str(path)) for a in argv] + ["--out", str(Path(tmp) / "out.csv")]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            # the shared parser reads argv as a freshly built one does
-            assert _parsed(_make_parser(), argv) == _parsed(_make_parser.__wrapped__(), argv)
-            code = main(argv)
-    assert code in (0, 2), argv
-    if code == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
-        assert "Traceback" not in err.getvalue()
+def test_any_invocation_exits_zero_or_two_with_one_line():
+    decided = Counter()  # exit codes of the rank and estimate draws
+
+    # derandomized, so every run of the suite tries the same 300 invocations
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=_cli_argv(), signal=_SIGNAL_BYTES)
+    @example(argv=["estimate", "{signal}", "--method=covdet", "--m-range=2:1000000000000"],
+             signal=_signal_csv([1.0] * 40))
+    @example(argv=["rank", "{signal}", "--n=6", "--policy=gap", "--tol=5.0"], signal=_NOISY_Y5)  # 6 at ratio 1e3
+    def invoke(argv, signal):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "signal.csv"
+            path.write_bytes(signal)
+            argv = [a.replace("{signal}", str(path)) for a in argv] + ["--out", str(Path(tmp) / "out.csv")]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                # the shared parser reads argv as a freshly built one does
+                assert _parsed(_make_parser(), argv) == _parsed(_make_parser.__wrapped__(), argv)
+                code = main(argv)
+            assert code in (0, 2), argv
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+                assert "Traceback" not in err.getvalue()
+            if argv[0] in ("rank", "estimate"):
+                decided[code] += 1
+                if code == 0:
+                    args = _make_parser().parse_known_args(argv)[0]
+                    assert out.getvalue() == _library_order(args) + "\n", argv
+
+    invoke()
+    # at least a third of the rank and estimate draws reach a printed order
+    assert decided[0] >= (decided[0] + decided[2]) / 3, decided

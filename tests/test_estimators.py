@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hankelorder import estimators
+from hankelorder.signals import _fmt
 from hankelorder import (
     condition_number,
     default_policy,
@@ -24,6 +25,7 @@ from hankelorder import (
     ModeSum,
     NoiseSpec,
     RankPolicy,
+    RankSweep,
     Signal,
     add_noise,
     add_offset,
@@ -109,6 +111,10 @@ class TestHokalmanOrder:
             assert est_off.order == est_base.order + 1
 
 
+RATIO_POOL = [Fraction(k, 8) for k in range(1, 9)]
+COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3)]
+SIGNED_RATIO_POOL = RATIO_POOL + [-q for q in RATIO_POOL]
+
 TALL_INPUTS = {
     "y5_L2000": (lambda: gen_y5(2000), 12),
     "y5_L20000": (lambda: gen_y5(20_000), 12),
@@ -166,6 +172,30 @@ class TestTallSweep:
         ]
         assert sweep.ranks == exact == [2, 3, 4, 4, 4, 4, 4]
         assert est.order == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.sampled_from(SIGNED_RATIO_POOL), min_size=1, max_size=4, unique=True),
+        st.data(),
+        st.integers(3, 7),
+        st.integers(-2, 2),
+    )
+    def test_dense_and_tall_sweeps_match_the_rational_oracle_across_the_crossover(
+        self, ratios, data, n_max, side
+    ):
+        # L - n_max + 1 = 16 n_max is the first tall length
+        count = (estimators._TALL_ROWS_PER_COL + 1) * n_max - 1 + side
+        assert _is_tall(count, n_max) == (side >= 0)
+        modes = [(data.draw(st.sampled_from(COEFF_POOL)), q) for q in ratios]
+        samples = rational_mode_sum(modes, count)
+        exact = [
+            exact_rank_rational(rational_hankel(samples, n, count - n + 1)) for n in range(2, n_max + 1)
+        ]
+        signal = Signal(np.array([float(x) for x in samples]))
+        assert hokalman_order(signal, n_max)[1].ranks == exact
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(estimators, "_TALL_ROWS_PER_COL", 10**9)  # dense at every length
+            assert hokalman_order(signal, n_max)[1].ranks == exact
 
     def test_square_columns_stay_dense(self, monkeypatch):
         signal = gen_y5(2000)
@@ -300,6 +330,165 @@ class TestStackedSweeps:
                 hokalman_order(gen_y5(10), 6, columns=columns)
 
 
+# ---------------------------------------------------------------------------
+# one decision per sweep against a copy of the per-n decisions it replaced
+
+
+def _per_row_decide(spectra, policy):
+    """The per-row rules as they ran on each n's (k, m) spectra before a
+    sweep was decided in one pass."""
+    if not np.isfinite(spectra).all() or (spectra[..., -1:] < 0).any():
+        raise ValueError("singular values must be finite and >= 0")
+    if (spectra[..., :-1] < spectra[..., 1:]).any():
+        raise ValueError("singular values must be non-increasing")
+    kind, value = policy.kind, policy.value
+    out = []
+    for vals in spectra.tolist():
+        top, bottom, m = vals[0], vals[-1], len(vals)
+        cond = math.inf if bottom == 0.0 else top / bottom
+        if top == 0.0:
+            out.append((0, math.inf, cond))
+        elif kind == "gap_ratio":
+            best_i, best = None, 1.0
+            for i in range(m - 1):
+                hi, lo = vals[i], vals[i + 1]
+                ratio = 1.0 if hi == 0.0 else math.inf if lo == 0.0 else hi / lo
+                if ratio > best:
+                    best_i, best = i, ratio
+            rank = best_i + 1 if best_i is not None and best >= value else m
+            out.append((rank, best, cond))
+        else:
+            cut = value * top if kind == "relative_threshold" else value
+            rank = sum(v > cut for v in vals)
+            below = vals[rank] if 0 < rank < m else 0.0
+            out.append((rank, math.inf if below == 0.0 else vals[rank - 1] / below, cond))
+    return out
+
+
+def _per_n_sweeps(samples, n_max, columns, policy, n_min):
+    """(n, rank, gap, condition) rows of each signal's sweep, decided once
+    per n as ``_rank_sweeps`` did before."""
+    points = [[] for _ in range(len(samples))]
+    try:
+        for shape, matrices in estimators._sweep_matrices(samples, n_max, columns, n_min):
+            spectra = np.linalg.svd(matrices, compute_uv=False)
+            decisions = _per_row_decide(spectra, policy if policy is not None else default_policy(shape))
+            for row, decision in zip(points, decisions):
+                row.append((shape[0], *decision))
+    except ValueError:
+        raise ValueError(
+            f"the largest singular value of the {shape[0]} x {shape[1]} Hankel matrix of a signal "
+            f"with max |y| = {_fmt(float(np.abs(samples).max()))} leaves float range"
+        ) from None
+    return points
+
+
+def _point_bits(n, rank, gap, cond):
+    return n, rank, float(gap).hex(), float(cond).hex()
+
+
+_SIGNAL_KINDS = ("noise", "modes", "near_cut", "zero", "half_zero", "spike", "float_max")
+
+
+def _sweep_signal(kind: str, size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "noise":  # any scale, down to subnormal samples
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300)
+    if kind == "modes":  # low rank, with rounding-level values below the cut
+        coeffs = rng.choice([-2.0, 1.0, 3.0], rng.integers(1, 4))
+        modes = [Mode(float(c), float(rng.uniform(-0.95, 0.95))) for c in coeffs]
+        return gen_mode_sum(ModeSum(modes), size).samples
+    if kind == "near_cut":  # a second mode near the default cut, which differs by layout and n
+        t = np.arange(size)
+        return 0.9**t + 10.0 ** rng.uniform(-15.5, -12.5) * (rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)) ** t
+    if kind == "zero":
+        return np.zeros(size)
+    if kind == "half_zero":  # exact zeros in the spectra of the wide and of the tall matrices
+        y = rng.standard_normal(size)
+        y[slice(size // 2) if rng.integers(2) else slice(size // 2, None)] = 0.0
+        return y
+    if kind == "spike":
+        y = np.zeros(size)
+        y[rng.integers(size)] = rng.uniform(-2.0, 2.0)
+        return y
+    if rng.integers(2):  # float_max
+        return np.full(size, 1.7976931348623157e308 * rng.choice([1.0, -1.0, 0.5]))
+    return rng.uniform(-1.0, 1.0, size) * 1.7976931348623157e308
+
+
+_SWEEP_POLICIES = st.one_of(
+    st.none(),
+    st.floats(1e-16, 0.5).map(RankPolicy.relative),
+    st.floats(1e-300, 1e3).map(RankPolicy.absolute),
+    st.floats(1.0, 1e300, exclude_min=True).map(RankPolicy.gap),
+)
+
+
+@st.composite
+def _sweep_inputs(draw):
+    columns = draw(st.sampled_from(["all", "square"]))
+    size = draw(st.integers(1, 40) | st.integers(41, 160))
+    # "all" matrices turn wide to tall past n = (L + 1) / 2
+    cap = min(size if columns == "all" else (size + 1) // 2, 24)
+    n_max = draw(st.integers(1, cap))
+    n_min = 1 if n_max == 1 else draw(st.integers(1, n_max + 1))  # one-point and empty sweeps too
+    kinds = [draw(st.sampled_from(_SIGNAL_KINDS)) for _ in range(draw(st.integers(0, 4)))]
+    samples = np.array([_sweep_signal(kind, size, draw(st.integers(0, 2**32 - 1))) for kind in kinds]).reshape(-1, size)
+    return samples, n_max, columns, draw(_SWEEP_POLICIES), n_min
+
+
+# sigma_2 / sigma_1 lies between n eps and (L - n + 1) eps at every n, so
+# each n's rank reads 1 under the default cut max(rows, cols) eps
+_BETWEEN_CUTS = 0.9 ** np.arange(100.0) + 1e-14 * (-0.8) ** np.arange(100.0)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_sweep_inputs())
+@example((_BETWEEN_CUTS[None], 8, "all", None, 2))
+def test_one_pass_decision_matches_per_n_decisions_bit_for_bit(inputs):
+    samples, n_max, columns, policy, n_min = inputs
+    with np.errstate(all="ignore"):
+        try:
+            want = _per_n_sweeps(samples, n_max, columns, policy, n_min)
+        except ValueError as exc:
+            # float-maximum signals: the same text, naming the same matrix shape
+            with pytest.raises(ValueError) as got:
+                estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
+            assert str(got.value) == str(exc)
+            return
+    sweeps = estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
+    got = [[_point_bits(p.n, p.rank, p.decision_gap, p.condition) for p in sweep.points] for sweep in sweeps]
+    assert got == [[_point_bits(*point) for point in row] for row in want]
+    assert all(type(p.rank) is int and type(p.decision_gap) is float for sweep in sweeps for p in sweep.points)
+
+
+@pytest.mark.parametrize(
+    "samples, n_max, columns, n_min",
+    [
+        (np.array([gen_y5(40).samples]), 8, "all", 2),
+        (np.array([gen_y5(40).samples] * 5), 20, "all", 2),  # wide to tall
+        (np.array([gen_y5(2000).samples] * 3), 12, "all", 2),  # tall path
+        (np.array([gen_y5(40).samples] * 2), 6, "square", 6),  # one point
+        (np.empty((0, 40)), 8, "square", 2),
+    ],
+)
+def test_one_decide_call_per_sweep(samples, n_max, columns, n_min, monkeypatch):
+    decide, calls = estimators._decide, []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return decide(*args)
+
+    monkeypatch.setattr(estimators, "_decide", counting)
+    for policy in POLICIES:
+        calls.clear()
+        sweeps = estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
+        points = n_max - n_min + 1
+        assert len(calls) == 1
+        assert calls[0][:2] == (points, len(samples))
+        assert [len(sweep.points) for sweep in sweeps] == [points] * len(samples)
+
+
 class TestOverflowingData:
     def test_ar_fit_past_float_range_rejected(self):
         signal = Signal(np.r_[np.zeros(9), 1e200])
@@ -319,6 +508,10 @@ class TestPlateauOnset:
     def test_lone_final_value(self):
         _, sweep = hokalman_order(gen_y5(40), 8, columns="square")
         assert plateau_onset(sweep) == 8  # ranks [...,4,4,5]
+
+    def test_empty_sweep_is_rejected(self):
+        with pytest.raises(ValueError, match="sweep is empty"):
+            plateau_onset(RankSweep(()))
 
 
 class TestArFit:
@@ -468,10 +661,6 @@ class TestReportCsv:
         lines = write_covdet_csv(report, tmp_path / "c.csv").read_text().splitlines()
         assert lines[0] == "m,det"
         assert len(lines) == 4
-
-
-RATIO_POOL = [Fraction(k, 8) for k in range(1, 9)]
-COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -302,6 +303,15 @@ def _scalar_condition(values):
     return math.inf if smin == 0.0 else float(values[0]) / smin
 
 
+def _decide_rows(stack, policy):
+    """``_decide`` on a (k, m) stack of full-length spectra (padded here
+    with one zero column), as a list of (rank, gap, condition) tuples."""
+    stack = np.asarray(stack, dtype=float)
+    padded = np.concatenate([stack, np.zeros(stack.shape[:-1] + (1,))], axis=-1)
+    rank, gap, cond = _decide(padded, stack.shape[-1], policy.kind, policy.value)
+    return list(zip(rank.tolist(), gap.tolist(), cond.tolist()))
+
+
 def _bits(rank, gap, cond):
     return rank, float(gap).hex(), float(cond).hex()
 
@@ -311,11 +321,12 @@ _SPECTRUM_VALUES = st.one_of(
     st.sampled_from([1.0, 2.0, 1e-300, 5e-324]),  # ties and subnormals
     st.floats(min_value=0.0, max_value=1e300),
 )
-_POLICIES = st.one_of(
-    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(RankPolicy.relative),
-    st.floats(min_value=1e-300, max_value=1e300).map(RankPolicy.absolute),
-    st.floats(min_value=1.0, max_value=1e300, exclude_min=True).map(RankPolicy.gap),
-)
+_POLICY_VALUES = {
+    "relative_threshold": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "absolute_threshold": st.floats(min_value=1e-300, max_value=1e300),
+    "gap_ratio": st.floats(min_value=1.0, max_value=1e300, exclude_min=True),
+}
+_POLICIES = st.one_of(*(values.map(partial(RankPolicy, kind)) for kind, values in _POLICY_VALUES.items()))
 
 
 @st.composite
@@ -335,22 +346,83 @@ def _spectrum_stacks(draw):
 def test_stacked_kernel_matches_one_spectrum_rules_bit_for_bit(stack, policy):
     with np.errstate(all="ignore"):
         expected = [_bits(*_scalar_rank(row, policy), _scalar_condition(row)) for row in stack]
-    assert [_bits(*d) for d in _decide(stack, policy)] == expected
+    assert [_bits(*d) for d in _decide_rows(stack, policy)] == expected
     for row, want in zip(stack, expected):
         spectrum = _spectrum(row)
         res = numerical_rank(spectrum, policy)
         assert _bits(res.rank, res.decision_gap, condition_number(spectrum)) == want
 
 
+
+
+@st.composite
+def _ragged_stacks(draw):
+    """A zero-padded (k, width + 1) stack of spectra of lengths 1..width,
+    their lengths, a policy kind and one policy value per row."""
+    width = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(sorted(_POLICY_VALUES)))
+    rows, lengths, values = [], [], []
+    for _ in range(draw(st.integers(0, 5))):
+        m = draw(st.integers(1, width))
+        row = [0.0] * m if draw(st.booleans()) and draw(st.booleans()) else draw(
+            st.lists(_SPECTRUM_VALUES, min_size=m, max_size=m)
+        )
+        rows.append(sorted(row, reverse=True) + [0.0] * (width + 1 - m))
+        lengths.append(m)
+        if kind == "relative_threshold" and draw(st.booleans()):  # the per-n default cut
+            values.append(default_policy((m, draw(st.integers(m, 400)))).value)
+        else:
+            values.append(draw(_POLICY_VALUES[kind]))
+    return np.array(rows).reshape(-1, width + 1), np.array(lengths, dtype=int), kind, np.array(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ragged_stacks(), st.booleans())
+def test_padded_ragged_stack_matches_one_spectrum_rules_bit_for_bit(case, one_value):
+    padded, lengths, kind, values = case
+    if one_value and len(values):
+        values = np.full_like(values, values[0])
+    with np.errstate(all="ignore"):
+        expected = [
+            _bits(*_scalar_rank(row[:m], RankPolicy(kind, float(v))), _scalar_condition(row[:m]))
+            for row, m, v in zip(padded, lengths, values)
+        ]
+    rank, gap, cond = _decide(padded, lengths, kind, float(values[0]) if one_value and len(values) else values)
+    assert [_bits(*d) for d in zip(rank.tolist(), gap.tolist(), cond.tolist())] == expected
+    # one (points, signals, width + 1) sweep stack, lengths and values per point
+    rank3, gap3, cond3 = _decide(padded[:, None], lengths[:, None], kind, values[:, None])
+    assert (rank3[:, 0].tolist(), gap3[:, 0].tolist(), cond3[:, 0].tolist()) == (
+        rank.tolist(), gap.tolist(), cond.tolist()
+    )
+
+
+def test_padded_rows_decide_within_their_length():
+    padded = np.array([
+        [4.0, 2.0, 0.0, 0.0],  # m = 2: full rank, the padding is no drop
+        [1e300, 1e-300, 0.0, 0.0],  # the only drop overflows to inf
+        [3.0, 0.0, 0.0, 0.0],  # m = 1
+        [2.0, 1.0, 0.0, 0.0],  # m = 3, with an exact zero below the cut
+        [0.0, 0.0, 0.0, 0.0],  # all zero
+    ])
+    lengths = np.array([2, 2, 1, 3, 3])
+    rank, gap, cond = _decide(padded, lengths, "gap_ratio", 1e3)
+    assert rank.tolist() == [2, 1, 1, 2, 0]
+    assert gap.tolist() == [2.0, math.inf, 1.0, math.inf, math.inf]
+    assert cond.tolist() == [2.0, math.inf, 1.0, math.inf, math.inf]
+    rank, gap, _ = _decide(padded, lengths, "relative_threshold", np.array([0.6, 1e-10, 0.5, 0.6, 0.5]))
+    assert rank.tolist() == [1, 1, 1, 1, 0]
+    assert gap.tolist() == [2.0, math.inf, math.inf, 2.0, math.inf]
+
+
 def test_kernel_edge_spectra():
     stack = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0], [1.0, 0.0, 0.0]])
-    assert _decide(stack, RankPolicy.gap()) == [
+    assert _decide_rows(stack, RankPolicy.gap()) == [
         (0, math.inf, math.inf),
         (3, 1.0, 1.0),
         (1, math.inf, math.inf),
     ]
-    assert _decide(np.array([[3.0]]), RankPolicy.relative(0.5)) == [(1, math.inf, 1.0)]
-    assert _decide(np.empty((0, 4)), RankPolicy.gap()) == []
+    assert _decide_rows(np.array([[3.0]]), RankPolicy.relative(0.5)) == [(1, math.inf, 1.0)]
+    assert _decide_rows(np.empty((0, 4)), RankPolicy.gap()) == []
 
 
 @pytest.mark.parametrize(
@@ -358,7 +430,7 @@ def test_kernel_edge_spectra():
 )
 def test_kernel_checks_the_whole_stack(bad):
     with pytest.raises(ValueError):
-        _decide(np.array(bad), RankPolicy.gap())
+        _decide_rows(np.array(bad), RankPolicy.gap())
 
 
 _GOOD_STACK = [[3.0, 2.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
@@ -381,7 +453,7 @@ def test_stack_check_rejects_each_defect_in_any_row(defect, where):
     stack = [list(row) for row in _GOOD_STACK]
     stack[where] = _BAD_ROWS[defect]
     with pytest.raises(ValueError):
-        _decide(np.array(stack), RankPolicy.relative(0.5))
+        _decide_rows(np.array(stack), RankPolicy.relative(0.5))
     with pytest.raises(ValueError):
         _spectrum(_BAD_ROWS[defect])
 
@@ -414,7 +486,7 @@ def _rejected_by_original_check(stack):
 def test_stack_check_rejects_exactly_what_the_original_check_rejected(rows, sort):
     stack = np.array([sorted(row, reverse=True) for row in rows] if sort else rows)
     try:
-        _decide(stack, RankPolicy.relative(0.5))
+        _decide_rows(stack, RankPolicy.relative(0.5))
         rejected = False
     except ValueError:
         rejected = True
