@@ -177,6 +177,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_rank(args, policy: RankPolicy | None) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError("--n must be >= 1")
     signal = read_signal_csv(args.input)
     out = args.out or Path("rank_sweep.csv")
     if args.n is not None:

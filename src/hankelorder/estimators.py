@@ -13,6 +13,7 @@ n x n layout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -188,25 +189,15 @@ def _sweep_matrices(y: np.ndarray, n_max: int, columns: str, n_min: int = 2):
             yield (n, cols), windows[..., :n, :cols]
 
 
-def _rank_sweeps(
-    samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
-) -> list[RankSweep]:
-    """The rank sweep over n = n_min..n_max of each row of a (k, L) stack
-    of finite samples (k may be 0), with one LAPACK SVD call per n for
-    the whole stack.  A stacked SVD gives each matrix bit for bit the
-    singular values a call on that matrix alone gives.  All n's spectra
-    go zero-padded into one (points, k, m_max + 1) array, and one
-    ``_decide`` call decides the whole sweep.  ``policy`` None means the
-    per-matrix default policy, whose cut max(rows, cols) * eps is taken
-    per n.  n_max must be >= 2, except for the one-point sweep
-    n_min = n_max = 1.
+def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2) -> list:
+    """The (shape, matrices) points of a sweep over n = n_min..n_max of a
+    (k, L) stack (``_sweep_matrices``), after checking the arguments.
+    n_max must be >= 2, except for the one-point sweep n_min = n_max = 1.
 
     "square" sweeps need L >= 2 n_max - 1; "all" sweeps need only
     L >= n_max, so their n x (L - n + 1) matrices turn wide to tall past
     n = (L + 1) / 2 (the plateau rule of ``hokalman_order`` needs the
-    2 n_max - 1 of ``_check_sweep_length``).  A largest singular value
-    past float range raises ValueError naming the matrix shape and the
-    largest |y|."""
+    2 n_max - 1 of ``_check_sweep_length``)."""
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
     if n_max < min(n_min, 2):
@@ -218,32 +209,98 @@ def _rank_sweeps(
         _check_sweep_length(size, n_max)
     elif size < n_max:
         raise ValueError(f"signal has {size} samples but a sweep to n = {n_max} requires at least {n_max}")
-    sweep = list(_sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min))
-    shapes = np.array([shape for shape, _ in sweep], dtype=int).reshape(-1, 2)
+    return list(_sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min))
+
+
+def _decide_points(points: list, samples: np.ndarray, policy: RankPolicy | None):
+    """(rank, gap, condition) arrays of shape (points, k): the decisions at
+    sweep points (shape, matrices) whose matrices come from the k rows of
+    ``samples``, with one LAPACK SVD call per point for the whole stack.
+    A stacked SVD gives each matrix bit for bit the singular values a
+    call on that matrix alone gives.  All spectra go zero-padded into one
+    (points, k, m_max + 1) array, and one ``_decide`` call decides them.
+    ``policy`` None means the per-matrix default policy, whose cut
+    max(rows, cols) * eps is taken per point.  A largest singular value
+    past float range raises ValueError naming the first such matrix's
+    shape and the largest |y|."""
+    shapes = np.array([shape for shape, _ in points], dtype=int).reshape(-1, 2)
     lengths = shapes.min(1)
     # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
-    spectra = np.zeros((len(sweep), len(samples), lengths.max(initial=1) + 1))
+    spectra = np.zeros((len(points), len(samples), lengths.max(initial=1) + 1))
     if policy is None:
         kind, value = RELATIVE, shapes.max(1)[:, None] * EPS
     else:
         kind, value = policy.kind, policy.value
     try:
-        for i, (_, matrices) in enumerate(sweep):
+        for i, (_, matrices) in enumerate(points):
             spectra[i, :, : lengths[i]] = np.linalg.svd(matrices, compute_uv=False)
-        ranks, gaps, conds = _decide(spectra, lengths[:, None], kind, value)
+        return _decide(spectra, lengths[:, None], kind, value)
     except ValueError:  # np.linalg.LinAlgError is one, and _decide's spectrum check
-        # name the first n whose SVD failed or gave a value past float range
+        # name the first point whose SVD failed or gave a value past float range
         i = next((j for j in range(i) if not np.isfinite(spectra[j]).all()), i)
         shape = shapes[i]
         raise ValueError(
             f"the largest singular value of the {shape[0]} x {shape[1]} Hankel matrix of a signal "
             f"with max |y| = {_fmt(float(np.abs(samples).max()))} leaves float range"
         ) from None
-    ns = shapes[:, 0].tolist()
+
+
+def _rank_sweeps(
+    samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
+) -> list[RankSweep]:
+    """The rank sweep over n = n_min..n_max of each row of a (k, L) stack
+    of finite samples (k may be 0), decided in one pass
+    (``_decide_points``).  The arguments are checked as in
+    ``_sweep_points``."""
+    points = _sweep_points(samples, n_max, columns, n_min)
+    ranks, gaps, conds = _decide_points(points, samples, policy)
+    ns = [shape[0] for shape, _ in points]
     return [
         RankSweep(tuple(map(SweepPoint, ns, r, g, c)))
         for r, g, c in zip(ranks.T.tolist(), gaps.T.tolist(), conds.T.tolist())
     ]
+
+
+def _sigmas_in_range(samples: np.ndarray, n_max: int) -> bool:
+    """Whether no matrix of a sweep to n_max of a (k, L) stack can have a
+    largest singular value past float range: each is at most its
+    Frobenius norm, at most max|y| sqrt(n_max L), and a margin of 16
+    leaves room for rounding."""
+    bound = float(np.abs(samples).max(initial=0.0)) * math.sqrt(n_max * samples.shape[-1])
+    return bound < sys.float_info.max / 16
+
+
+def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None) -> list[int]:
+    """``plateau_onset`` of each row's sweep n = 2..n_max of a (k, L) stack,
+    without deciding every n of every row.
+
+    An onset is the first n of the trailing constant-rank run, so it
+    depends only on the ranks from n_max down to the first change.  The
+    walk decides n = n_max for the whole stack, then n_max - 1, n_max - 2,
+    ... only for the rows whose rank still equals their n_max rank; a
+    row's onset is the last n at which it did.  Each step is one stacked
+    SVD of the live rows' views of the full sweep (the dense or tall path
+    chosen by n_max, as in ``_rank_sweeps``), and every decision is the
+    one ``_rank_sweeps`` makes, bit for bit.
+
+    Rows are dropped only when max|y| sqrt(n_max L) lies well inside float
+    range; otherwise a skipped n could overflow, and every n of the whole
+    stack is decided, so a sweep past float range raises the error
+    ``_rank_sweeps`` raises."""
+    points = _sweep_points(samples, n_max, columns)
+    if not _sigmas_in_range(samples, n_max):
+        return [plateau_onset(s) for s in _rank_sweeps(samples, n_max, columns, policy)]
+    onsets = np.full(len(samples), n_max)
+    live, final = np.arange(len(samples)), None
+    for shape, matrices in reversed(points):
+        if not live.size:
+            break
+        [ranks], _, _ = _decide_points([(shape, matrices[live])], samples[live], policy)
+        final = ranks if final is None else final
+        keep = ranks == final
+        live, final = live[keep], final[keep]
+        onsets[live] = shape[0]
+    return onsets.tolist()
 
 
 def _check_sweep_length(size: int, n_max: int) -> None:

@@ -28,7 +28,9 @@ from . import __version__
 from .estimators import (
     _check_sweep_length,
     _order_str,
+    _plateau_onsets,
     _rank_sweeps,
+    _sigmas_in_range,
     _sweep_rows,
     aic_order,
     covariance_determinants,
@@ -36,7 +38,7 @@ from .estimators import (
     plateau_onset,
 )
 from .hankel import BOTTOM, RIGHT, build_augmented, build_hankel, build_rectangular_hankel, row_echelon
-from .rank import default_policy, numerical_rank, singular_values
+from .rank import EPS, RELATIVE, _decide, singular_values
 from .signals import Mode, ModeSum, NoiseSpec, _fmt, _noisy, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
 
 __all__ = ["ExperimentSpec", "ExperimentSummary", "list_experiments", "run_experiment"]
@@ -68,10 +70,6 @@ class ExperimentSummary:
 
 
 Section = tuple[str, str, Sequence[tuple]]  # (section name, column header, data rows)
-
-
-def _rank_of(entries: np.ndarray) -> int:
-    return numerical_rank(singular_values(entries), default_policy(entries.shape)).rank
 
 
 def _stack(rows: Iterable[np.ndarray], k: int, count: int) -> np.ndarray:
@@ -280,9 +278,12 @@ def _run_fig5(params: dict, seed: int) -> tuple[str, list[Section]]:
 def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
     n = params["n"]
     y, u = gen_nonhomogeneous(params["count"], params["sample_period"])
-    unaug = _rank_of(build_hankel(y, n).entries)
-    bottom = _rank_of(build_augmented(y, u, n, BOTTOM).entries)
-    right = _rank_of(build_augmented(y, u, n, RIGHT).entries)
+    matrices = [build_hankel(y, n).entries] + [build_augmented(y, u, n, side).entries for side in (BOTTOM, RIGHT)]
+    # one decision for the three n-value spectra, zero-padded, each at its default cut max(shape) * eps
+    spectra = np.zeros((len(matrices), n + 1))
+    spectra[:, :n] = [singular_values(m).values for m in matrices]
+    cuts = np.array([max(m.shape) for m in matrices]) * EPS
+    unaug, bottom, right = _decide(spectra, n, RELATIVE, cuts)[0].tolist()
     rows = [
         ("unaugmented", n, n, unaug),
         ("augmented_bottom", n + 1, n, bottom),
@@ -318,8 +319,15 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
             yield from _noisy(pair, NoiseSpec(amp, seed + t))
 
     samples = _stack(rows(), 2 + 2 * params["trials"], count)
-    _check_sweep_length(count, params["n_max"])  # onsets need every n x n matrix, as in hokalman_order
-    sweeps = _rank_sweeps(samples, params["n_max"], "all", None)
+    n_max = params["n_max"]
+    _check_sweep_length(count, n_max)  # onsets need every n x n matrix, as in hokalman_order
+    if _sigmas_in_range(samples, n_max):
+        # full sweeps for the printed noise-free ranks, only the onsets of the noisy ones
+        sweeps = _rank_sweeps(samples[:2], n_max, "all", None)
+        onsets = _plateau_onsets(samples[2:], n_max, "all", None)
+    else:  # every n of the whole stack, so an overflow names the matrix and max |y| it always did
+        sweeps = _rank_sweeps(samples, n_max, "all", None)
+        onsets = [plateau_onset(sweep) for sweep in sweeps[2:]]
 
     rows_free = [
         (label, p.n, p.rank)
@@ -328,8 +336,7 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     ]
     rows_onsets = []
     favourable = 0
-    for t in range(params["trials"]):
-        on_p, on_o = plateau_onset(sweeps[2 + 2 * t]), plateau_onset(sweeps[3 + 2 * t])
+    for t, (on_p, on_o) in enumerate(zip(onsets[::2], onsets[1::2])):
         favourable += on_o <= on_p
         rows_onsets.append((t, on_p, on_o))
     sections: list[Section] = [

@@ -158,6 +158,13 @@ class TestRank:
         assert capsys.readouterr().out == "order=1\n"
         assert out.read_text().splitlines() == ["n,rank,gap,condition", "1,1,inf,1"]
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_single_n_below_one_exits_two_naming_the_flag(self, tmp_path, capsys, n):
+        out = tmp_path / "o.csv"
+        assert main(["rank", str(_y5_csv(tmp_path)), "--n", n, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: --n must be >= 1\n")
+        assert not out.exists()
+
     def test_out_to_dev_null(self, tmp_path, capsys):
         assert main(["rank", str(_y5_csv(tmp_path)), "--out", "/dev/null"]) == 0
         assert capsys.readouterr().out == "order=5\n"
@@ -330,6 +337,21 @@ class TestExperiment:
             warnings.simplefilter("error")
             assert main(argv) == 2
         assert capsys.readouterr().err == "error: samples must all be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "snr_db, y_max", [("40", "1.6999999999999999e+308"), ("-6130", "1.7108924659153015e+308")]
+    )
+    def test_offset_sweep_past_float_range_names_the_whole_stack(self, tmp_path, capsys, snr_db, y_max):
+        # at -6130 dB the noisy signals reach past the noise-free pair, and
+        # the error names the largest |y| of all 102 signals
+        out = tmp_path / "x.csv"
+        argv = ["experiment", "offset_effect", "--offset", "1.7e308", "--snr-db", snr_db, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: the largest singular value of the 2 x 39 Hankel matrix of a signal with max |y| = {y_max} "
+            "leaves float range\n"
+        )
         assert not out.exists()
 
     def test_fig3_with_empty_q_range(self, tmp_path, capsys):

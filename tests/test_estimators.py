@@ -489,6 +489,75 @@ def test_one_decide_call_per_sweep(samples, n_max, columns, n_min, monkeypatch):
         assert [len(sweep.points) for sweep in sweeps] == [points] * len(samples)
 
 
+# ---------------------------------------------------------------------------
+# plateau onsets from the top of the sweep down against full sweeps
+
+
+def _onset_signal(kind: str, size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "constant":  # one rank at every n, so the walk reaches n = 2
+        return np.full(size, rng.uniform(-3.0, 3.0))
+    if kind == "large":  # finite spectra, but past the bound that lets the walk drop rows
+        return rng.standard_normal(size) * 10.0 ** rng.uniform(300.0, 307.0)
+    return _sweep_signal(kind, size, seed)
+
+
+# one kind in ten lies past the bound that lets the walk drop rows, half of those past float range
+_ONSET_KINDS = ("noise", "modes", "near_cut", "zero", "constant", "spike") * 3 + ("large", "float_max")
+
+
+@st.composite
+def _onset_inputs(draw):
+    columns = draw(st.sampled_from(["all", "square"]))
+    n_max = draw(st.integers(2, 10))
+    # "all" sweeps take the tall path from L - n_max + 1 = 16 n_max on
+    crossover = (estimators._TALL_ROWS_PER_COL + 1) * n_max - 1
+    size = draw(st.integers(1, 40) | st.integers(crossover - 2, crossover + 2))
+    kinds = [draw(st.sampled_from(_ONSET_KINDS)) for _ in range(draw(st.integers(0, 4)))]
+    samples = np.array([_onset_signal(kind, size, draw(st.integers(0, 2**32 - 1))) for kind in kinds]).reshape(-1, size)
+    return samples, n_max, columns, draw(_SWEEP_POLICIES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_onset_inputs())
+@example((np.array([gen_y5(40).samples, np.full(40, 2.0)]), 2, "all", None))  # one step
+@example((np.array([np.full(135, 2.0), np.zeros(135), gen_y5(135).samples]), 8, "all", None))  # tall, down to n = 2
+@example((np.array([_BETWEEN_CUTS[:40], gen_y5(40).samples]), 10, "square", RankPolicy.gap()))
+@example((np.array([gen_y5(40).samples]), 1, "all", None))  # n_max below 2
+@example((np.array([gen_y5(40).samples, np.full(40, 1.7976931348623157e308)]), 10, "all", None))
+# finite at n = 19 and 18, where the rank changes, but past float range at n = 4..17
+@example((np.array([2.2e307 * (1.0 + 1e-3 * np.sin(np.arange(20.0)))]), 19, "all", None))
+def test_plateau_onsets_equal_the_onsets_of_full_sweeps(inputs):
+    samples, n_max, columns, policy = inputs
+    try:
+        want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, columns, policy)]
+    except ValueError as exc:
+        # bad arguments, and float-maximum stacks: the text the whole stack's sweep raises
+        with pytest.raises(ValueError) as got:
+            estimators._plateau_onsets(samples, n_max, columns, policy)
+        assert str(got.value) == str(exc)
+        return
+    onsets = estimators._plateau_onsets(samples, n_max, columns, policy)
+    assert onsets == want
+    assert all(type(onset) is int for onset in onsets)
+
+
+def test_plateau_onsets_decide_only_down_to_the_first_rank_change(monkeypatch):
+    svd, matrices = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        matrices.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    # y5 reads rank 5 from n = 5 on; a constant signal rank 1 at every n.
+    # Every step takes the dense n x (41 - n) matrices the sweep to n = 8
+    # takes, though a sweep to n = 2 alone would take the tall path.
+    samples = np.array([gen_y5(40).samples, np.full(40, 2.0), gen_y5(40).samples])
+    assert estimators._plateau_onsets(samples, 8, "all", None) == [5, 2, 5]
+    assert matrices == [(3, n, 41 - n) for n in range(8, 3, -1)] + [(1, 3, 38), (1, 2, 39)]
+
+
 class TestOverflowingData:
     def test_ar_fit_past_float_range_rejected(self):
         signal = Signal(np.r_[np.zeros(9), 1e200])

@@ -298,6 +298,19 @@ class TestSec33:
             ("augmented_right", "2"),
         ]
 
+    def test_three_ranks_in_one_decision_at_their_default_cuts(self, tmp_path, monkeypatch):
+        decide, calls = experiments._decide, []
+
+        def recording(spectra, lengths, kind, value):
+            calls.append((spectra.shape, lengths, kind, list(value)))
+            return decide(spectra, lengths, kind, value)
+
+        monkeypatch.setattr(experiments, "_decide", recording)
+        run_experiment(ExperimentSpec("sec33_nonhomogeneous"), tmp_path / "sec33.csv")
+        # 10 x 10, 11 x 10 and 10 x 11: cut max(rows, cols) * eps each
+        eps = np.finfo(float).eps
+        assert calls == [((3, 11), 10, "relative_threshold", [10 * eps, 11 * eps, 11 * eps])]
+
 
 class TestOffsetEffect:
     @staticmethod
@@ -320,7 +333,7 @@ class TestOffsetEffect:
             onsets.append((t, on_plain, on_offset))
         return {"noise_free_sweep": _csv_rows(free), "onsets": _csv_rows(onsets)}
 
-    @pytest.mark.parametrize("overrides", [{}, {"snr_db": math.inf}])
+    @pytest.mark.parametrize("overrides", [{}, {"snr_db": math.inf}, {"count": 400}, {"n_max": 2}])
     def test_rows_equal_one_signal_per_sweep(self, tmp_path, overrides):
         path = tmp_path / "offset.csv"
         run_experiment(ExperimentSpec("offset_effect", overrides), path)
@@ -474,7 +487,7 @@ class TestBatchedSvdCalls:
     """The experiments stack their small SVDs; counted, so nothing is timed."""
 
     @staticmethod
-    def _svd_calls(name, tmp_path, monkeypatch) -> int:
+    def _svd_shapes(name, tmp_path, monkeypatch) -> list[tuple[int, ...]]:
         calls = []
         svd = np.linalg.svd
 
@@ -485,11 +498,17 @@ class TestBatchedSvdCalls:
         monkeypatch.setattr(np.linalg, "svd", counting)
         summary = run_experiment(ExperimentSpec(name), tmp_path / f"{name}.csv")
         assert summary.headline == GOLDEN_HEADLINES[name]
-        return len(calls)
+        return calls
 
     def test_offset_effect_one_call_per_n_and_stack(self, tmp_path, monkeypatch):
         n_max = dict((n, d) for n, _, d in list_experiments())["offset_effect"]["n_max"]
-        assert self._svd_calls("offset_effect", tmp_path, monkeypatch) <= 2 * (n_max - 1)
+        assert len(self._svd_shapes("offset_effect", tmp_path, monkeypatch)) <= 2 * (n_max - 1)
+
+    def test_offset_effect_decides_only_what_its_onsets_need(self, tmp_path, monkeypatch):
+        # the 2 noise-free sweeps at n = 2..10; every noisy onset is n_max = 10,
+        # so each of the 100 noisy signals is decided at n = 10 and 9 only
+        shapes = self._svd_shapes("offset_effect", tmp_path, monkeypatch)
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == 218 == 2 * 9 + 100 * 2
 
     def test_fig3_grid_is_stacked(self, tmp_path, monkeypatch):
-        assert self._svd_calls("fig3_pole_proximity", tmp_path, monkeypatch) <= 40
+        assert len(self._svd_shapes("fig3_pole_proximity", tmp_path, monkeypatch)) <= 40
