@@ -62,16 +62,27 @@ def _build_policy(args) -> RankPolicy | None:
     raise ValueError(f"unknown policy {name!r}")
 
 
+# argparse names the type function in the message for its ValueError, so
+# these raise ArgumentTypeError, whose text it prints after the flag.
 def _parse_mode(text: str) -> Mode:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError("mode must be 'coeff,decay[,freq]'")
-    return Mode(*parts)
+        raise argparse.ArgumentTypeError(f"expects coeff,decay[,freq] numbers, got {text!r}")
+    try:
+        return Mode(*parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
 def _parse_m_range(text: str) -> range:
     lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi) + 1)
+    try:
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects lo:hi with integer ends, got {text!r}") from None
 
 
 def _parse_override(token: str):

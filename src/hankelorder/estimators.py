@@ -278,10 +278,13 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankP
     depends only on the ranks from n_max down to the first change.  The
     walk decides n = n_max for the whole stack, then n_max - 1, n_max - 2,
     ... only for the rows whose rank still equals their n_max rank; a
-    row's onset is the last n at which it did.  Each step is one stacked
-    SVD of the live rows' views of the full sweep (the dense or tall path
-    chosen by n_max, as in ``_rank_sweeps``), and every decision is the
-    one ``_rank_sweeps`` makes, bit for bit.
+    row's onset is the last n at which it did.  A row whose n_max rank
+    exceeds min(shape) of the next n's matrix leaves without an SVD
+    there: a decision counts at most min(shape) singular values, so that
+    rank cannot recur.  Each step is one stacked SVD of the live rows'
+    views of the full sweep (the dense or tall path chosen by n_max, as
+    in ``_rank_sweeps``), and every decision is the one ``_rank_sweeps``
+    makes, bit for bit.
 
     Rows are dropped only when max|y| sqrt(n_max L) lies well inside float
     range; otherwise a skipped n could overflow, and every n of the whole
@@ -293,6 +296,10 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankP
     onsets = np.full(len(samples), n_max)
     live, final = np.arange(len(samples)), None
     for shape, matrices in reversed(points):
+        if final is not None:
+            # a decision counts at most min(shape) values, so a larger n_max rank cannot recur here
+            fits = final <= min(shape)
+            live, final = live[fits], final[fits]
         if not live.size:
             break
         [ranks], _, _ = _decide_points([(shape, matrices[live])], samples[live], policy)

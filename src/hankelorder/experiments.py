@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 # Not used here: bench/tracer.py wraps experiments.mpmath.svd_r, and a test
 # checks that name resolves, until the benchmark drops that entry.
@@ -39,7 +39,7 @@ from .estimators import (
 )
 from .hankel import BOTTOM, RIGHT, build_augmented, build_hankel, build_rectangular_hankel, row_echelon
 from .rank import EPS, RELATIVE, _decide, singular_values
-from .signals import Mode, ModeSum, NoiseSpec, _fmt, _noisy, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
+from .signals import Mode, ModeSum, NoiseSpec, _fmt, _noisy_rows, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
 
 __all__ = ["ExperimentSpec", "ExperimentSummary", "list_experiments", "run_experiment"]
 
@@ -72,16 +72,6 @@ class ExperimentSummary:
 Section = tuple[str, str, Sequence[tuple]]  # (section name, column header, data rows)
 
 
-def _stack(rows: Iterable[np.ndarray], k: int, count: int) -> np.ndarray:
-    """(k, count) array of k sample rows, filled one row at a time so they
-    are never all alive together; k may be 0.  Noise that carries a sample
-    past float range raises ValueError, as it does in a Signal."""
-    out = np.fromiter(rows, np.dtype((float, count)), count=k)
-    if not np.isfinite(out).all():
-        raise ValueError("samples must all be finite")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # runners: each takes (params, seed) and returns (headline, sections)
 
@@ -94,6 +84,9 @@ def _run_fig2(params: dict, seed: int) -> tuple[str, list[Section]]:
 
 
 def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
+    for key in ("noise_rel_small", "noise_rel_large"):
+        if params[key] < 0.0:
+            raise ValueError(f"{key} must be >= 0")
     p = params["p"]
     count = params["count"]
     n_max = params["n_max"]
@@ -101,15 +94,11 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
     qs = range(params["q_min"], params["q_max"] + 1)
     cleans = {q: gen_mode_sum(pole_pair_modes(p, q), count).samples for q in qs}
     grid = list(itertools.product(range(len(levels)), qs))
-
-    def row(level_idx: int, q: int) -> np.ndarray:
-        clean, rel = cleans[q], levels[level_idx]
-        if rel > 0.0:
-            amp = rel * float(np.abs(clean).max())
-            return _noisy(clean, NoiseSpec(amp, seed + 97 * q + level_idx))
-        return clean
-
-    samples = _stack(itertools.starmap(row, grid), len(grid), count)
+    noises = (
+        NoiseSpec(levels[i] * float(np.abs(cleans[q]).max()), seed + 97 * q + i) if levels[i] > 0.0 else None
+        for i, q in grid
+    )
+    samples = _noisy_rows(np.array([cleans[q] for _, q in grid]).reshape(len(grid), count), noises)
     sweeps = _rank_sweeps(samples, n_max, "square", None, params["n_min"])
     rows = [
         (levels[level_idx], q, pt.n, pt.rank)
@@ -305,20 +294,16 @@ def _noise_amplitude(samples: np.ndarray, snr_db: float) -> float:
 
 
 def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
-    if params["trials"] < 0:
+    trials = params["trials"]
+    if trials < 0:
         raise ValueError("trials must be >= 0")
     count = params["count"]
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     pair = np.stack([base.samples, add_offset(base, params["offset"]).samples])
     amp = _noise_amplitude(base.samples, params["snr_db"])
-
-    def rows():
-        # the two noise-free signals, then each trial's one draw added to both
-        yield from pair
-        for t in range(params["trials"]):
-            yield from _noisy(pair, NoiseSpec(amp, seed + t))
-
-    samples = _stack(rows(), 2 + 2 * params["trials"], count)
+    # the two noise-free signals, then each trial's one draw added to both
+    noises = itertools.chain([None], (NoiseSpec(amp, seed + t) for t in range(trials)))
+    samples = _noisy_rows(np.broadcast_to(pair, (1 + trials, 2, count)), noises).reshape(-1, count)
     n_max = params["n_max"]
     _check_sweep_length(count, n_max)  # onsets need every n x n matrix, as in hokalman_order
     if _sigmas_in_range(samples, n_max):
@@ -343,7 +328,7 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
         ("noise_free_sweep", "variant,n,rank", rows_free),
         ("onsets", "trial,onset_plain,onset_offset", rows_onsets),
     ]
-    headline = f"offset_onset<=plain:{favourable}/{params['trials']}"
+    headline = f"offset_onset<=plain:{favourable}/{trials}"
     return headline, sections
 
 

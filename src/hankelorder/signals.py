@@ -316,15 +316,24 @@ def gen_nonhomogeneous(count: int, sample_period: float = 1.0) -> tuple[Signal, 
     return y, u
 
 
-def _noisy(samples: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """samples (..., L) plus one seeded uniform draw of L values, added to
-    every row alike; samples itself at zero amplitude.  A sum past float
-    range is inf, which the callers' finiteness checks reject."""
-    if noise.amplitude == 0.0:
-        return samples
-    rng = np.random.default_rng(noise.seed)
+def _noisy_rows(samples: np.ndarray, noises: Iterable[NoiseSpec | None]) -> np.ndarray:
+    """samples (k, ..., L) plus, for each samples[i] whose noises[i] has a
+    non-zero amplitude, one seeded uniform draw of L values, added to all
+    of its rows alike; every other samples[i] keeps its bits, -0.0
+    included.  noises is read in order, one draw at a time, and the draws
+    are added in one array pass.  A sum past float range raises
+    ValueError, as it does in a Signal."""
+    samples = np.asarray(samples, dtype=float)
+    # x + (-0.0) is x for every x, -0.0 included, so rows without a draw keep their bits
+    noise = np.full(samples.shape[:1] + (1,) * (samples.ndim - 2) + samples.shape[-1:], -0.0)
+    for i, spec in enumerate(noises):
+        if spec is not None and spec.amplitude != 0.0:
+            noise[i] = np.random.default_rng(spec.seed).uniform(-spec.amplitude, spec.amplitude, samples.shape[-1])
     with np.errstate(over="ignore"):
-        return samples + rng.uniform(-noise.amplitude, noise.amplitude, samples.shape[-1])
+        out = samples + noise
+    if not np.isfinite(out).all():
+        raise ValueError("samples must all be finite")
+    return out
 
 
 def add_noise(signal: Signal, noise: NoiseSpec) -> Signal:
@@ -337,7 +346,7 @@ def add_noise(signal: Signal, noise: NoiseSpec) -> Signal:
     if noise.amplitude == 0.0:
         return signal
     return Signal(
-        samples=_noisy(signal.samples, noise),
+        samples=_noisy_rows(signal.samples[None], [noise])[0],
         sample_period=signal.sample_period,
         provenance=f"{signal.provenance} + uniform_noise(amp={noise.amplitude:g}, seed={noise.seed})",
         true_order=signal.true_order,

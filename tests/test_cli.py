@@ -270,6 +270,8 @@ class TestExperiment:
             ("echelon_effect", "--n-max", "1", "n_max must be >= 2"),
             ("fig5_high_order_exp", "--cond-n-max", "1", "cond_n_max must be >= 2"),
             ("offset_effect", "--trials", "-1", "trials must be >= 0"),
+            ("fig3_pole_proximity", "--noise-rel-small", "-1e-6", "noise_rel_small must be >= 0"),
+            ("fig3_pole_proximity", "--noise-rel-large", "-5", "noise_rel_large must be >= 0"),
         ],
     )
     def test_out_of_range_override_exits_two(self, tmp_path, capsys, name, flag, value, message):
@@ -373,6 +375,38 @@ class TestExperiment:
         assert main(["--seed", "4", "experiment", "echelon_effect", "--out", str(a)]) == 0
         assert main(["--seed", "5", "experiment", "echelon_effect", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestFlagTypes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "{signal}", "--method", "covdet", "--m-range", "5"],
+             "argument --m-range: expects lo:hi with integer ends, got '5'"),
+            (["estimate", "{signal}", "--method", "covdet", "--m-range", "2:x"],
+             "argument --m-range: expects lo:hi with integer ends, got '2:x'"),
+            (["generate", "mode_sum", "--mode", "a,1"], "argument --mode: expects coeff,decay[,freq] numbers, got 'a,1'"),
+            (["generate", "mode_sum", "--mode", "1"], "argument --mode: expects coeff,decay[,freq] numbers, got '1'"),
+            (["generate", "mode_sum", "--mode", "inf,1"],
+             "argument --mode: mode coefficient must be finite, got 'inf,1'"),
+        ],
+    )
+    def test_bad_flag_value_exits_two_with_user_facing_text(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        argv = [a.replace("{signal}", str(_y5_csv(tmp_path))) for a in argv] + ["--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.endswith(f"error: {message}\n")
+        assert "_parse" not in stderr
+        assert not out.exists()
+
+    def test_zero_noise_levels_stay_valid(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        argv = ["experiment", "fig3_pole_proximity", "--noise-rel-small", "0", "--noise-rel-large", "0"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "fig3_pole_proximity,q0=18,ok\n"
 
 
 class TestRankFlags:

@@ -527,6 +527,10 @@ def _onset_inputs(draw):
 @example((np.array([gen_y5(40).samples, np.full(40, 1.7976931348623157e308)]), 10, "all", None))
 # finite at n = 19 and 18, where the rank changes, but past float range at n = 4..17
 @example((np.array([2.2e307 * (1.0 + 1e-3 * np.sin(np.arange(20.0)))]), 19, "all", None))
+# "all" sweeps past n = (L + 1) / 2, where min(shape) grows as n falls
+@example((np.random.default_rng(5).uniform(-1.0, 1.0, (3, 12)), 10, "all", None))
+@example((np.array([gen_y5(15).samples, np.full(15, 2.0), np.zeros(15)]), 12, "all", None))
+@example((np.array([_BETWEEN_CUTS[:14], np.random.default_rng(6).uniform(-1.0, 1.0, 14)]), 13, "all", RankPolicy.gap()))
 def test_plateau_onsets_equal_the_onsets_of_full_sweeps(inputs):
     samples, n_max, columns, policy = inputs
     try:
@@ -552,10 +556,28 @@ def test_plateau_onsets_decide_only_down_to_the_first_rank_change(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     # y5 reads rank 5 from n = 5 on; a constant signal rank 1 at every n.
     # Every step takes the dense n x (41 - n) matrices the sweep to n = 8
-    # takes, though a sweep to n = 2 alone would take the tall path.
+    # takes, though a sweep to n = 2 alone would take the tall path.  The
+    # y5 rows leave at n = 4 without an SVD: 4 values cannot hold rank 5.
     samples = np.array([gen_y5(40).samples, np.full(40, 2.0), gen_y5(40).samples])
     assert estimators._plateau_onsets(samples, 8, "all", None) == [5, 2, 5]
-    assert matrices == [(3, n, 41 - n) for n in range(8, 3, -1)] + [(1, 3, 38), (1, 2, 39)]
+    assert matrices == [(3, n, 41 - n) for n in range(8, 4, -1)] + [(1, n, 41 - n) for n in (4, 3, 2)]
+
+
+@pytest.mark.parametrize("size", [40, 200])  # dense and tall paths
+def test_full_rank_rows_are_decided_at_n_max_only(monkeypatch, size):
+    svd, calls = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    samples = np.random.default_rng(3).uniform(-1.0, 1.0, (5, size))
+    want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, 10, "all", None)]
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert estimators._plateau_onsets(samples, 10, "all", None) == want == [10] * 5
+    # one SVD of the 5 matrices at n = 10 (the tall path's QR calls come before it)
+    [(k, rows, cols)] = calls
+    assert k == 5 and min(rows, cols) == 10
 
 
 class TestOverflowingData:

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 from pathlib import Path
 
@@ -370,6 +371,101 @@ class TestOffsetEffect:
         assert offset == [2] * 9
 
 
+# ---------------------------------------------------------------------------
+# fig3's and offset_effect's noisy stacks against the row-at-a-time
+# construction they replaced: one seeded generator per noisy row, each row
+# copied into the stack in turn
+
+
+def _reference_noisy(samples, noise):
+    if noise.amplitude == 0.0:
+        return samples
+    rng = np.random.default_rng(noise.seed)
+    with np.errstate(over="ignore"):
+        return samples + rng.uniform(-noise.amplitude, noise.amplitude, samples.shape[-1])
+
+
+def _reference_stack(rows, k, count):
+    out = np.fromiter(rows, np.dtype((float, count)), count=k)
+    if not np.isfinite(out).all():
+        raise ValueError("samples must all be finite")
+    return out
+
+
+def _reference_fig3_stack(params, seed):
+    count = params["count"]
+    levels = [0.0, params["noise_rel_small"], params["noise_rel_large"]]
+    qs = range(params["q_min"], params["q_max"] + 1)
+    cleans = {q: gen_mode_sum(pole_pair_modes(params["p"], q), count).samples for q in qs}
+    grid = list(itertools.product(range(len(levels)), qs))
+
+    def row(level_idx, q):
+        clean, rel = cleans[q], levels[level_idx]
+        if rel > 0.0:
+            amp = rel * float(np.abs(clean).max())
+            return _reference_noisy(clean, NoiseSpec(amp, seed + 97 * q + level_idx))
+        return clean
+
+    return _reference_stack(itertools.starmap(row, grid), len(grid), count)
+
+
+def _reference_offset_stack(params, seed):
+    count = params["count"]
+    base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
+    pair = np.stack([base.samples, add_offset(base, params["offset"]).samples])
+    amp = experiments._noise_amplitude(base.samples, params["snr_db"])
+
+    def rows():
+        yield from pair
+        for t in range(params["trials"]):
+            yield from _reference_noisy(pair, NoiseSpec(amp, seed + t))
+
+    return _reference_stack(rows(), 2 + 2 * params["trials"], count)
+
+
+_REFERENCE_STACKS = {"fig3_pole_proximity": _reference_fig3_stack, "offset_effect": _reference_offset_stack}
+
+
+class TestNoiseStacks:
+    @pytest.mark.parametrize(
+        "name, overrides, seed",
+        [
+            *[("fig3_pole_proximity", {}, seed) for seed in (None, 0, 1, -98)],
+            ("fig3_pole_proximity", {"noise_rel_small": 0.0}, None),
+            ("fig3_pole_proximity", {"q_min": 5, "q_max": 4}, None),  # an empty grid
+            *[("offset_effect", {}, seed) for seed in (None, 0, 1, -98)],  # -98: a negative trial seed
+            ("offset_effect", {"snr_db": math.inf}, None),
+            ("offset_effect", {"trials": 0}, None),
+            ("offset_effect", {"count": 400}, None),
+            ("offset_effect", {"offset": 1.7e308, "snr_db": -6150.0}, None),  # the noisy sums overflow
+        ],
+    )
+    def test_stack_matches_the_row_at_a_time_construction_bit_for_bit(
+        self, tmp_path, monkeypatch, name, overrides, seed
+    ):
+        exp = experiments._REGISTRY[name]
+        params = {**exp.defaults, **overrides}
+        try:
+            want = _REFERENCE_STACKS[name](params, exp.default_seed if seed is None else seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                run_experiment(ExperimentSpec(name, overrides, seed), tmp_path / "out.csv")
+            assert str(got.value) == str(exc)
+            return
+        stacks, noisy_rows = [], experiments._noisy_rows
+
+        def recording(*args):
+            stacks.append(noisy_rows(*args))
+            return stacks[-1]
+
+        monkeypatch.setattr(experiments, "_noisy_rows", recording)
+        run_experiment(ExperimentSpec(name, overrides, seed), tmp_path / "out.csv")
+        [stack] = stacks
+        stack = stack.reshape(-1, params["count"])
+        assert stack.shape == want.shape
+        assert stack.tobytes() == want.tobytes()
+
+
 class TestEchelonEffect:
     def test_comparison_rows(self, tmp_path):
         path = tmp_path / "echelon.csv"
@@ -505,10 +601,12 @@ class TestBatchedSvdCalls:
         assert len(self._svd_shapes("offset_effect", tmp_path, monkeypatch)) <= 2 * (n_max - 1)
 
     def test_offset_effect_decides_only_what_its_onsets_need(self, tmp_path, monkeypatch):
-        # the 2 noise-free sweeps at n = 2..10; every noisy onset is n_max = 10,
-        # so each of the 100 noisy signals is decided at n = 10 and 9 only
+        # the 2 noise-free sweeps at n = 2..10; every noisy signal has full
+        # rank 10 at n_max = 10, which the 9 values at n = 9 cannot hold, so
+        # each of the 100 is decided at n = 10 only
         shapes = self._svd_shapes("offset_effect", tmp_path, monkeypatch)
-        assert sum(math.prod(shape[:-2]) for shape in shapes) == 218 == 2 * 9 + 100 * 2
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == 118 == 2 * 9 + 100
+        assert len(shapes) == 10
 
     def test_fig3_grid_is_stacked(self, tmp_path, monkeypatch):
         assert len(self._svd_shapes("fig3_pole_proximity", tmp_path, monkeypatch)) <= 40

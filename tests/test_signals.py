@@ -27,7 +27,7 @@ from hankelorder import (
     write_pair_csv,
     write_signal_csv,
 )
-from hankelorder.signals import _fmt
+from hankelorder.signals import _fmt, _noisy_rows
 
 LN2 = math.log(2.0)
 
@@ -278,6 +278,22 @@ class TestNoise:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(-1.0, seed=0)
+
+    def test_stacked_draws_match_one_generator_per_row(self):
+        # rows 0 and 2 get no draw and keep their -0.0; row 1's one draw is shared by both its rows
+        samples = np.array([[[-0.0, 1.0]] * 2, [[2.0, -0.0], [3.0, 4.0]], [[-0.0, 5.0]] * 2])
+        out = _noisy_rows(samples, [None, NoiseSpec(0.5, seed=9), NoiseSpec(0.0, seed=1)])
+        draw = np.random.default_rng(9).uniform(-0.5, 0.5, 2)
+        want = np.array([samples[0], samples[1] + draw, samples[2]])
+        assert out.tobytes() == want.tobytes()
+        assert np.signbit(out[[0, 2], :, 0]).all()
+
+    def test_stacked_sum_past_float_range_rejected(self):
+        samples = np.array([np.full(20, 1.7e308), np.zeros(20)])
+        with pytest.raises(ValueError, match="^samples must all be finite$"):
+            _noisy_rows(samples, [NoiseSpec(8e307, seed=0), None])
+        with pytest.raises(ValueError, match="^samples must all be finite$"):
+            add_noise(Signal(samples[0]), NoiseSpec(8e307, seed=0))
 
 
 class TestOffset:
