@@ -52,13 +52,11 @@ from .rank import (
 )
 from .estimators import (
     AicReport,
-    ArFit,
     CovDetReport,
     OrderEstimate,
     RankSweep,
     SweepPoint,
     aic_order,
-    ar_fit,
     covariance_determinants,
     covdet_order,
     hokalman_order,
@@ -85,8 +83,8 @@ __all__ = [
     "default_policy", "singular_values", "numerical_rank", "condition_number",
     "exact_rank_rational",
     # estimators
-    "SweepPoint", "RankSweep", "OrderEstimate", "ArFit", "AicReport", "CovDetReport",
-    "hokalman_order", "plateau_onset", "ar_fit", "aic_order",
+    "SweepPoint", "RankSweep", "OrderEstimate", "AicReport", "CovDetReport",
+    "hokalman_order", "plateau_onset", "aic_order",
     "covariance_determinants", "covdet_order",
     "write_sweep_csv", "write_aic_csv", "write_covdet_csv",
     # experiments

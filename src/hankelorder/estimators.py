@@ -31,12 +31,10 @@ __all__ = [
     "SweepPoint",
     "RankSweep",
     "OrderEstimate",
-    "ArFit",
     "AicReport",
     "CovDetReport",
     "hokalman_order",
     "plateau_onset",
-    "ar_fit",
     "aic_order",
     "covariance_determinants",
     "covdet_order",
@@ -48,8 +46,6 @@ __all__ = [
 METHOD_HOKALMAN = "hokalman_rank"
 METHOD_AIC = "aic"
 METHOD_COVDET = "covariance_determinant"
-
-RSS_FLOOR = 1e-300
 
 # A sweep takes the tall QR path once H_{n_max}^T has at least this many
 # rows per column; below it the dense per-n SVDs are as fast.  It also
@@ -104,16 +100,6 @@ class OrderEstimate:
 def _order_str(estimate: OrderEstimate) -> str:
     """``order=<n>``, or ``order=inconclusive`` without a conclusive order."""
     return f"order={estimate.order if estimate.conclusive else 'inconclusive'}"
-
-
-@dataclass(frozen=True)
-class ArFit:
-    """Least-squares autoregressive fit y[n] = sum_i a_i y[n-i]."""
-
-    coefficients: np.ndarray
-    rss: float
-    regressor_rank: int
-    rank_deficient: bool
 
 
 @dataclass(frozen=True)
@@ -383,64 +369,56 @@ def _lag_matrix(y: np.ndarray, width: int, start: int) -> np.ndarray:
     return np.ascontiguousarray(_windows(y[start - width + 1 :], width)[:, ::-1])
 
 
-def _fits(lags: np.ndarray, orders: Iterable[int]) -> list[ArFit]:
-    """The order-p AR fit of column 0 of a lag matrix on its columns 1..p,
-    for each p in orders."""
-    fits = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in orders:
-            regressors, targets = lags[:, 1 : p + 1], lags[:, 0]
-            rcond = max(regressors.shape) * np.finfo(float).eps
-            coeffs, _, rank, _ = np.linalg.lstsq(regressors, targets, rcond=rcond)
-            residuals = targets - regressors @ coeffs
-            rss = float(residuals @ residuals)
-            if not math.isfinite(rss):
-                raise ValueError(f"the residual sum of squares of the order-{p} AR fit overflows float range")
-            fits.append(ArFit(coeffs, rss, int(rank), int(rank) < p))
-    return fits
-
-
-def ar_fit(signal: Signal, p: int, n_start: int | None = None) -> ArFit:
-    """Least-squares fit of y[n] = sum_{i=1..p} a_i y[n-i].
-
-    The fit runs over n = n_start..len-1 (n_start defaults to p, i.e.
-    all valid rows).  The least-squares cutoff follows the same relative
-    tolerance convention as the rank machinery; a rank-deficient
-    regressor matrix yields the minimum-norm solution and is flagged.  A
-    residual sum of squares past float range raises ValueError.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if len(signal) < 2 * p + 1:
-        raise ValueError(f"signal must have at least 2p + 1 = {2 * p + 1} samples")
-    if n_start is None:
-        n_start = p
-    if n_start < p:
-        raise ValueError("n_start must be >= p")
-    if n_start >= len(signal):
-        raise ValueError("no regression rows available")
-    return _fits(_lag_matrix(signal.samples, p + 1, n_start), [p])[0]
-
-
 def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
     """AIC selection over AR orders p = 1..p_max.
 
-    Every candidate is fit on the common window n = p_max..len-1, so the
-    residual count K = len - p_max is the same for all p and the argmin
-    is exactly invariant under positive scaling of the signal.
-    aic(p) = K * ln(rss/K) + 2p, with rss floored at 1e-300.  The
-    orders share one lag matrix; order p fits on its first p + 1 columns.
+    Every candidate fits y[n] = sum_{i=1..p} a_i y[n-i] on the common
+    window n = p_max..len-1, so the residual count K = len - p_max is the
+    same for all p.  One Householder QR of the K x (p_max + 1) matrix
+    [y[n-1] ... y[n-p_max] | y[n]] gives every order's residual sum of
+    squares (Bjorck, Numerical Methods for Least Squares Problems, SIAM
+    1996): the order-p fit regresses on the first p columns, so
+    rss_p = sum_{i>=p} R[i, -1]^2, non-increasing in p.
+
+    aic(p) = K * ln(max(rss_p, floor) / K) + 2p, and the argmin (ties to
+    the smaller p) is selected.  The floor is the residual that rounding
+    alone can leave on a fit that is exact in exact arithmetic.  The
+    computed R is the exact R of a matrix whose every column is perturbed
+    by at most gamma times its norm (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm. 19.4): each of the p_max + 1
+    reflections adds a length-K inner product's error, K u at worst and
+    sqrt(K) u typically (Higham sec. 2.8's rule of thumb), so
+    gamma = (p_max + 1) sqrt(K) u with u = 2^-53.  A column's norm is at
+    most sqrt(K) max|y|, so floor = (K (p_max + 1) u max|y|)^2, kept
+    within [1e-300, 1e308] (1e-300 for all-zero or underflowed data).
+    Every order at or past the order of a noise-free signal sits under
+    it, and the argmin takes the smallest such order.  The floor scales
+    with the signal squared, so the selection is invariant under scaling.
+
+    R[j, j]^2 is the residual of regressor column j on the columns before
+    it, a sum of squares of the same kind, so the order-p fit counts as
+    rank-deficient when some R[j, j]^2 with j < p is at or under the floor.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     if len(signal) < 2 * p_max + 1:
         raise ValueError(f"signal must have at least 2*p_max + 1 = {2 * p_max + 1} samples")
-    k = len(signal) - p_max
-    fits = _fits(_lag_matrix(signal.samples, p_max + 1, p_max), range(1, p_max + 1))
-    rows = tuple((p, f.rss, k * math.log(max(f.rss, RSS_FLOOR) / k) + 2.0 * p) for p, f in enumerate(fits, 1))
+    y = signal.samples
+    k = len(y) - p_max
+    w = _windows(y, p_max + 1)  # rows (y[n-p_max], ..., y[n])
+    r = np.linalg.qr(np.concatenate((w[:, -2::-1], w[:, -1:]), axis=1), mode="r")
+    tail = r[:0:-1, -1]  # R[p_max, -1], ..., R[1, -1]
+    with np.errstate(over="ignore"):
+        rss = np.cumsum(tail * tail)[::-1].tolist()
+    # rss_1 is the largest, so no order overflows unless order 1 does
+    if not math.isfinite(rss[0]):
+        raise ValueError("the residual sum of squares of the order-1 AR fit overflows float range")
+    scale = min(max(k * (p_max + 1) * (EPS / 2) * float(np.abs(y).max()), 1e-150), 1e154)
+    floor = scale * scale
+    rows = tuple((p, v, k * math.log(max(v, floor) / k) + 2.0 * p) for p, v in enumerate(rss, 1))
     report = AicReport(rows, min(rows, key=lambda row: (row[2], row[0]))[0])
-    deficient = sum(f.rank_deficient for f in fits)
-    diagnostics = {"p_max": p_max, "residual_count": k, "rank_deficient_fits": deficient}
+    deficient = int(np.count_nonzero(np.minimum.accumulate(np.abs(r.diagonal()[:p_max])) <= scale))
+    diagnostics = {"p_max": p_max, "residual_count": k, "rank_deficient_fits": deficient, "rss_floor": floor}
     return OrderEstimate(report.selected, METHOD_AIC, diagnostics), report
 
 

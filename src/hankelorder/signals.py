@@ -129,6 +129,9 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not (self.amplitude >= 0.0 and math.isfinite(self.amplitude)):
             raise ValueError("noise amplitude must be finite and >= 0")
+        # a draw on [-a, a] needs its width 2a in float range
+        if not math.isfinite(2.0 * self.amplitude):
+            raise ValueError(f"noise amplitude must be at most float max / 2, got {self.amplitude!r}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 

@@ -211,9 +211,7 @@ class TestEstimate:
         code = main(["estimate", str(src), "--method", "aic", "--p-max", "10",
                      "--out", str(tmp_path / "a.csv")])
         assert code == 0
-        headline = capsys.readouterr().out.strip()
-        assert headline.startswith("order=")
-        assert headline != "order=inconclusive"
+        assert capsys.readouterr().out == "order=5\n"
 
     def test_hokalman_matches_rank_headline(self, tmp_path, capsys):
         src = _y5_csv(tmp_path)
@@ -330,6 +328,23 @@ class TestExperiment:
         out = tmp_path / "x.csv"
         assert main(["experiment", name, "--snr-db", snr_db, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: snr_db={float(snr_db)!r} puts the noise amplitude outside float range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, flag, value, amplitude",
+        [
+            ("fig3_pole_proximity", "--noise-rel-large", "1e308", "1.5e+308"),
+            ("offset_effect", "--snr-db", "-6170", "1.089257788657944e+308"),
+            ("echelon_effect", "--snr-db", "-6170", "1.089257788657944e+308"),
+        ],
+    )
+    def test_noise_wider_than_float_range_exits_two_with_one_line(self, tmp_path, capsys, name, flag, value, amplitude):
+        # each amplitude is finite, but a draw on [-a, a] spans 2a, past float max
+        out = tmp_path / "x.csv"
+        assert main(["experiment", name, flag, value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: noise amplitude must be at most float max / 2, got {amplitude}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_noise_past_float_range_exits_two_with_one_line(self, tmp_path, capsys):

@@ -279,6 +279,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(-1.0, seed=0)
 
+    def test_amplitude_whose_draw_width_overflows_rejected(self):
+        half = np.finfo(float).max / 2
+        assert NoiseSpec(half).amplitude == half  # [-a, a] is 2a = float max wide
+        with pytest.raises(ValueError, match=r"^noise amplitude must be at most float max / 2, got 1e\+308$"):
+            NoiseSpec(1e308)
+        with pytest.raises(ValueError, match="^noise amplitude must be finite and >= 0$"):
+            NoiseSpec(float("inf"))
+
     def test_stacked_draws_match_one_generator_per_row(self):
         # rows 0 and 2 get no draw and keep their -0.0; row 1's one draw is shared by both its rows
         samples = np.array([[[-0.0, 1.0]] * 2, [[2.0, -0.0], [3.0, 4.0]], [[-0.0, 5.0]] * 2])
