@@ -146,56 +146,49 @@ def _tall_r(w: np.ndarray) -> np.ndarray:
     return np.linalg.qr(w, mode="r")
 
 
-def _sweep_matrices(y: np.ndarray, n_max: int, columns: str, n_min: int = 2):
-    """(shape, matrices) for n = n_min..n_max, where y holds signals along its
-    last axis: shape is that of the n-row sweep matrix, and matrices holds,
-    for each signal, a matrix with its singular values.
+def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2) -> list:
+    """(shape, matrices) for n = n_min..n_max of a (k, L) stack, after
+    checking the arguments: shape is that of the n-row sweep matrix, and
+    matrices holds, for each signal, a matrix with its singular values.
+    n_max must be >= 2, except for the one-point sweep n_min = n_max = 1.
+    "square" sweeps need L >= 2 n_max - 1; "all" sweeps need only
+    L >= n_max, so their n x (L - n + 1) matrices turn wide to tall past
+    n = (L + 1) / 2 (the plateau rule of ``hokalman_order`` needs the
+    2 n_max - 1 of ``_check_sweep_length``).
 
     Dense path: a zero-copy window view of the n x cols Hankel matrices.
     Tall path ("all" columns, L - n_max + 1 >= 16 n_max rows): with
     W = H_{n_max}^T = QR (R from the blocked reduction of ``_tall_r``),
     H_n^T stacks W[:, :n] on the n_max - n trailing windows; Q has
     orthonormal columns, so H_n shares its singular values with the
-    (2 n_max - n) x n matrix [R[:, :n]; trailing windows].
+    (2 n_max - n) x n matrix [R[:, :n]; trailing windows].  An R with an
+    entry past float range (data near the float maximum) falls back to
+    the dense path.
     """
-    size = y.shape[-1]
-    rows = size - n_max + 1
-    # padded[..., k] = y[..., k] for k < L and 0 beyond, so windows may run past the end
-    padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
-    if columns == "all" and rows >= _TALL_ROWS_PER_COL * n_max:
-        r = _tall_r(_windows(y, n_max))
-        trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
-        stacked = np.concatenate([r, trailing], axis=-2)
-        for n in range(n_min, n_max + 1):
-            yield (n, size - n + 1), stacked[..., : 2 * n_max - n, :n]
-    else:
-        windows = _windows(padded, size)  # windows[..., i, j] = y[..., i + j] while i + j < L
-        for n in range(n_min, n_max + 1):
-            cols = n if columns == "square" else size - n + 1
-            yield (n, cols), windows[..., :n, :cols]
-
-
-def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2) -> list:
-    """The (shape, matrices) points of a sweep over n = n_min..n_max of a
-    (k, L) stack (``_sweep_matrices``), after checking the arguments.
-    n_max must be >= 2, except for the one-point sweep n_min = n_max = 1.
-
-    "square" sweeps need L >= 2 n_max - 1; "all" sweeps need only
-    L >= n_max, so their n x (L - n + 1) matrices turn wide to tall past
-    n = (L + 1) / 2 (the plateau rule of ``hokalman_order`` needs the
-    2 n_max - 1 of ``_check_sweep_length``)."""
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
     if n_max < min(n_min, 2):
         raise ValueError(f"n_max must be >= {min(n_min, 2)}")
     if columns not in ("all", "square"):
         raise ValueError("columns must be 'all' or 'square'")
-    size = samples.shape[-1]
+    y = np.ascontiguousarray(samples, dtype=float)
+    size = y.shape[-1]
     if columns == "square":
         _check_sweep_length(size, n_max)
     elif size < n_max:
         raise ValueError(f"signal has {size} samples but a sweep to n = {n_max} requires at least {n_max}")
-    return list(_sweep_matrices(np.ascontiguousarray(samples, dtype=float), n_max, columns, n_min))
+    rows = size - n_max + 1
+    # padded[..., k] = y[..., k] for k < L and 0 beyond, so windows may run past the end
+    padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
+    ns = range(n_min, n_max + 1)
+    if columns == "all" and rows >= _TALL_ROWS_PER_COL * n_max:
+        r = _tall_r(_windows(y, n_max))
+        if np.isfinite(r).all():
+            stacked = np.concatenate([r, _windows(padded, n_max)[..., rows : rows + n_max - 1, :]], axis=-2)
+            return [((n, size - n + 1), stacked[..., : 2 * n_max - n, :n]) for n in ns]
+    windows = _windows(padded, size)  # windows[..., i, j] = y[..., i + j] while i + j < L
+    cols = [n if columns == "square" else size - n + 1 for n in ns]
+    return [((n, c), windows[..., :n, :c]) for n, c in zip(ns, cols)]
 
 
 def _decide_points(points: list, samples: np.ndarray, policy: RankPolicy | None):
@@ -247,15 +240,6 @@ def _rank_sweeps(
     ]
 
 
-def _sigmas_in_range(samples: np.ndarray, n_max: int) -> bool:
-    """Whether no matrix of a sweep to n_max of a (k, L) stack can have a
-    largest singular value past float range: each is at most its
-    Frobenius norm, at most max|y| sqrt(n_max L), and a margin of 16
-    leaves room for rounding."""
-    bound = float(np.abs(samples).max(initial=0.0)) * math.sqrt(n_max * samples.shape[-1])
-    return bound < sys.float_info.max / 16
-
-
 def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None) -> list[int]:
     """``plateau_onset`` of each row's sweep n = 2..n_max of a (k, L) stack,
     without deciding every n of every row.
@@ -277,7 +261,8 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankP
     stack is decided, so a sweep past float range raises the error
     ``_rank_sweeps`` raises."""
     points = _sweep_points(samples, n_max, columns)
-    if not _sigmas_in_range(samples, n_max):
+    # each sigma_1 is at most its Frobenius norm, at most max|y| sqrt(n_max L); 16 leaves room for rounding
+    if not float(np.abs(samples).max(initial=0.0)) * math.sqrt(n_max * samples.shape[-1]) < sys.float_info.max / 16:
         return [plateau_onset(s) for s in _rank_sweeps(samples, n_max, columns, policy)]
     onsets = np.full(len(samples), n_max)
     live, final = np.arange(len(samples)), None
@@ -474,12 +459,13 @@ def covdet_order(report: CovDetReport, collapse_ratio: float = 1e-6) -> OrderEst
     return OrderEstimate(None, METHOD_COVDET, {"collapse_ratio": collapse_ratio})
 
 
-def _sweep_rows(sweep: RankSweep) -> list[tuple]:
-    return [(p.n, p.rank, p.decision_gap, p.condition) for p in sweep.points]
+def _sweep_section(name: str | None, sweep: RankSweep) -> tuple:
+    """The CSV section (name, header, rows) of a sweep's points."""
+    return name, "n,rank,gap,condition", [(p.n, p.rank, p.decision_gap, p.condition) for p in sweep.points]
 
 
 def write_sweep_csv(sweep: RankSweep, path: str | Path) -> Path:
-    return _write_csv(path, [(None, "n,rank,gap,condition", _sweep_rows(sweep))])
+    return _write_csv(path, [_sweep_section(None, sweep)])
 
 
 def write_aic_csv(report: AicReport, path: str | Path) -> Path:

@@ -27,18 +27,16 @@ import numpy as np
 from . import __version__
 from .estimators import (
     _check_sweep_length,
+    _decide_points,
     _order_str,
     _plateau_onsets,
     _rank_sweeps,
-    _sigmas_in_range,
-    _sweep_rows,
+    _sweep_section,
     aic_order,
     covariance_determinants,
     hokalman_order,
-    plateau_onset,
 )
 from .hankel import BOTTOM, RIGHT, build_augmented, build_hankel, build_rectangular_hankel, row_echelon
-from .rank import EPS, RELATIVE, _decide, singular_values
 from .signals import Mode, ModeSum, NoiseSpec, _fmt, _noisy_rows, _write_csv, add_noise, add_offset, gen_high_order, gen_mode_sum, gen_nonhomogeneous, gen_y5, pole_pair_modes
 
 __all__ = ["ExperimentSpec", "ExperimentSummary", "list_experiments", "run_experiment"]
@@ -80,7 +78,7 @@ def _run_fig2(params: dict, seed: int) -> tuple[str, list[Section]]:
     spec = ModeSum([Mode(params["b"], params["q"])])
     signal = gen_mode_sum(spec, params["count"])
     est, sweep = hokalman_order(signal, params["n_max"])
-    return _order_str(est), [("sweep", "n,rank,gap,condition", _sweep_rows(sweep))]
+    return _order_str(est), [_sweep_section("sweep", sweep)]
 
 
 def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
@@ -129,7 +127,7 @@ def _run_fig1_table1(params: dict, seed: int) -> tuple[str, list[Section]]:
     _, aic_report = aic_order(signal, params["p_max"])
     cov = covariance_determinants(signal, range(params["m_min"], params["m_max"] + 1))
     sections = [
-        ("hokalman_sweep", "n,rank,gap,condition", _sweep_rows(sweep)),
+        _sweep_section("hokalman_sweep", sweep),
         ("aic", "p,rss,aic", aic_report.per_order),
         ("covdet", "m,det", cov.per_order),
     ]
@@ -139,7 +137,7 @@ def _run_fig1_table1(params: dict, seed: int) -> tuple[str, list[Section]]:
 def _run_fig4(params: dict, seed: int) -> tuple[str, list[Section]]:
     signal = gen_high_order("sinusoid", params["n0"], params["count"], params["m"])
     est, sweep = hokalman_order(signal, params["n_max"])
-    return _order_str(est), [("sweep", "n,rank,gap,condition", _sweep_rows(sweep))]
+    return _order_str(est), [_sweep_section("sweep", sweep)]
 
 
 # A condition row is written only if its relative error bound is below 1e-15.
@@ -258,7 +256,7 @@ def _run_fig5(params: dict, seed: int) -> tuple[str, list[Section]]:
         params["n0"], params["m"], range(2, params["cond_n_max"] + 1), params["cond_dps"]
     )
     sections = [
-        ("sweep", "n,rank,gap,condition", _sweep_rows(sweep)),
+        _sweep_section("sweep", sweep),
         ("condition_extended", "n,condition", conds),
     ]
     return _order_str(est), sections
@@ -268,11 +266,9 @@ def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
     n = params["n"]
     y, u = gen_nonhomogeneous(params["count"], params["sample_period"])
     matrices = [build_hankel(y, n).entries] + [build_augmented(y, u, n, side).entries for side in (BOTTOM, RIGHT)]
-    # one decision for the three n-value spectra, zero-padded, each at its default cut max(shape) * eps
-    spectra = np.zeros((len(matrices), n + 1))
-    spectra[:, :n] = [singular_values(m).values for m in matrices]
-    cuts = np.array([max(m.shape) for m in matrices]) * EPS
-    unaug, bottom, right = _decide(spectra, n, RELATIVE, cuts)[0].tolist()
+    # one decision for the three matrices, each at its default cut max(shape) * eps
+    ranks, _, _ = _decide_points([(m.shape, m[None]) for m in matrices], y.samples[None], None)
+    unaug, bottom, right = ranks[:, 0].tolist()
     rows = [
         ("unaugmented", n, n, unaug),
         ("augmented_bottom", n + 1, n, bottom),
@@ -306,13 +302,11 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     samples = _noisy_rows(np.broadcast_to(pair, (1 + trials, 2, count)), noises).reshape(-1, count)
     n_max = params["n_max"]
     _check_sweep_length(count, n_max)  # onsets need every n x n matrix, as in hokalman_order
-    if _sigmas_in_range(samples, n_max):
-        # full sweeps for the printed noise-free ranks, only the onsets of the noisy ones
-        sweeps = _rank_sweeps(samples[:2], n_max, "all", None)
-        onsets = _plateau_onsets(samples[2:], n_max, "all", None)
-    else:  # every n of the whole stack, so an overflow names the matrix and max |y| it always did
-        sweeps = _rank_sweeps(samples, n_max, "all", None)
-        onsets = [plateau_onset(sweep) for sweep in sweeps[2:]]
+    # the noisy onsets first, so that past float range the error names the
+    # noisy stack's largest |y|, which wide noise takes past the noise-free
+    # pair; then full sweeps for the printed noise-free ranks
+    onsets = _plateau_onsets(samples[2:], n_max, "all", None)
+    sweeps = _rank_sweeps(samples[:2], n_max, "all", None)
 
     rows_free = [
         (label, p.n, p.rank)

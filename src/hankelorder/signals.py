@@ -244,7 +244,10 @@ def pole_pair_modes(p: float = 10.0, q: int = 1) -> ModeSum:
     """
     if p <= 0:
         raise ValueError("p must be > 0")
-    dp = 2.0 ** (-q)
+    try:
+        dp = 2.0 ** (-q)
+    except OverflowError:
+        raise ValueError(f"q={q} puts the pole spacing 2^-q outside float range") from None
     return ModeSum([
         Mode(0.5, 1.0 / p),
         Mode(0.5 + dp, 1.0 / (p + dp)),

@@ -119,13 +119,13 @@ class TestRank:
 
     @pytest.mark.parametrize("count", [40, 400])
     @pytest.mark.parametrize("command", [["rank"], ["estimate", "--method", "hokalman"]])
-    def test_signal_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capsys, command, count):
-        # 40 samples take the dense sweep (its spectrum overflows), 400 the
-        # tall QR path (its SVD does not converge); both name the data
+    def test_signal_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capfd, command, count):
+        # 40 samples take the dense sweep, and so do 400 once the tall QR
+        # path's R leaves float range; the spectrum overflows, and both name the data
         src = write_signal_csv(Signal(np.full(count, 1.7976931348623157e308)), tmp_path / "max.csv")
         out = tmp_path / "o.csv"
         assert main([command[0], str(src), *command[1:], "--out", str(out)]) == 2
-        captured = capsys.readouterr()
+        captured = capfd.readouterr()
         assert captured.err == (
             f"error: the largest singular value of the 2 x {count - 1} Hankel matrix of a signal "
             "with max |y| = 1.7976931348623157e+308 leaves float range\n"
@@ -133,17 +133,24 @@ class TestRank:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_single_n_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capsys):
+    def test_single_n_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capfd):
         src = write_signal_csv(Signal(np.full(40, 1.7976931348623157e308)), tmp_path / "max.csv")
         out = tmp_path / "o.csv"
         assert main(["rank", str(src), "--n", "5", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
+        captured = capfd.readouterr()
         assert captured.err == (
             "error: the largest singular value of the 5 x 5 Hankel matrix of a signal "
             "with max |y| = 1.7976931348623157e+308 leaves float range\n"
         )
         assert captured.out == ""
         assert not out.exists()
+
+    def test_long_signal_near_the_float_maximum_takes_the_dense_sweep(self, tmp_path, capfd):
+        # the tall QR path's R leaves float range, though every sigma_1 is finite
+        y = np.random.default_rng(1).uniform(-1, 1, 400) * 1e307
+        src = write_signal_csv(Signal(y), tmp_path / "big.csv")
+        assert main(["rank", str(src), "--n-max", "10", "--out", str(tmp_path / "o.csv")]) == 0
+        assert capfd.readouterr() == ("order=inconclusive\n", "")
 
     def test_single_n_rank(self, tmp_path, capsys):
         src = _y5_csv(tmp_path)
@@ -357,18 +364,30 @@ class TestExperiment:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "snr_db, y_max", [("40", "1.6999999999999999e+308"), ("-6130", "1.7108924659153015e+308")]
+        "snr_db, trials, y_max",
+        [("40", "50", "1.6999999999999999e+308"), ("-6130", "50", "1.7108924659153015e+308"),
+         ("40", "0", "1.6999999999999999e+308")],
     )
-    def test_offset_sweep_past_float_range_names_the_whole_stack(self, tmp_path, capsys, snr_db, y_max):
+    def test_offset_sweep_past_float_range_names_the_whole_stack(self, tmp_path, capfd, snr_db, trials, y_max):
         # at -6130 dB the noisy signals reach past the noise-free pair, and
-        # the error names the largest |y| of all 102 signals
+        # the error names the largest |y| of all 102 signals; without
+        # trials it names the pair's
         out = tmp_path / "x.csv"
-        argv = ["experiment", "offset_effect", "--offset", "1.7e308", "--snr-db", snr_db, "--out", str(out)]
+        argv = ["experiment", "offset_effect", "--offset", "1.7e308", "--snr-db", snr_db, "--trials", trials,
+                "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
+        assert capfd.readouterr() == (
+            "",
             f"error: the largest singular value of the 2 x 39 Hankel matrix of a signal with max |y| = {y_max} "
-            "leaves float range\n"
+            "leaves float range\n",
         )
+        assert not out.exists()
+
+    def test_fig3_pole_spacing_past_float_range_exits_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        argv = ["experiment", "fig3_pole_proximity", "--q-min", "-1024", "--q-max", "-1024", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: q=-1024 puts the pole spacing 2^-q outside float range\n")
         assert not out.exists()
 
     def test_fig3_with_empty_q_range(self, tmp_path, capsys):
@@ -690,7 +709,7 @@ def _parsed(parser, argv: list[str]):
     return repr(sorted(vars(args).items())), extras
 
 
-def test_any_invocation_exits_zero_or_two_with_one_line():
+def test_any_invocation_exits_zero_or_two_with_one_line(capfd):
     decided = Counter()  # exit codes of the rank and estimate draws
 
     # derandomized, so every run of the suite tries the same 300 invocations
@@ -720,6 +739,8 @@ def test_any_invocation_exits_zero_or_two_with_one_line():
                 if code == 0:
                     args = _make_parser().parse_known_args(argv)[0]
                     assert out.getvalue() == _library_order(args) + "\n", argv
+            # nothing reached the file descriptors past the redirected streams
+            assert capfd.readouterr() == ("", ""), argv
 
     invoke()
     # at least a third of the rank and estimate draws reach a printed order

@@ -147,7 +147,7 @@ class TestTallSweep:
         y, count = signal.samples, len(signal)
         assert _is_tall(count, n_max)
         hankels = {n: sliding_window_view(y, count - n + 1) for n in range(2, n_max + 1)}
-        for (n, _), small in estimators._sweep_matrices(y, n_max, "all"):
+        for (n, _), small in estimators._sweep_points(y, n_max, "all"):
             dense = np.linalg.svd(hankels[n], compute_uv=False)
             tall = np.linalg.svd(small, compute_uv=False)
             assert np.max(np.abs(tall - dense)) <= 1e-13 * dense[0], n
@@ -195,6 +195,16 @@ class TestTallSweep:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(estimators, "_TALL_ROWS_PER_COL", 10**9)  # dense at every length
             assert hokalman_order(signal, n_max)[1].ranks == exact
+
+    def test_r_past_float_range_falls_back_to_the_dense_sweep(self, monkeypatch):
+        # every sigma_1 is finite (1.155e308 at n = 2), but the blocked QR
+        # leaves entries of R past float range
+        y = np.random.default_rng(1).uniform(-1, 1, 400) * 1e307
+        assert _is_tall(len(y), 10)
+        assert not np.isfinite(estimators._tall_r(sliding_window_view(y, 10))).all()
+        _, sweep = hokalman_order(Signal(y), 10)
+        assert sweep.points == _dense_sweep(Signal(y), 10, None, monkeypatch).points
+        assert sweep.ranks == list(range(2, 11))
 
     def test_square_columns_stay_dense(self, monkeypatch):
         signal = gen_y5(2000)
@@ -368,8 +378,9 @@ def _per_n_sweeps(samples, n_max, columns, policy, n_min):
     """(n, rank, gap, condition) rows of each signal's sweep, decided once
     per n as ``_rank_sweeps`` did before."""
     points = [[] for _ in range(len(samples))]
+    sweep = estimators._sweep_points(samples, n_max, columns, n_min)
     try:
-        for shape, matrices in estimators._sweep_matrices(samples, n_max, columns, n_min):
+        for shape, matrices in sweep:
             spectra = np.linalg.svd(matrices, compute_uv=False)
             decisions = _per_row_decide(spectra, policy if policy is not None else default_policy(shape))
             for row, decision in zip(points, decisions):

@@ -25,7 +25,7 @@ from hankelorder import (
     run_experiment,
     singular_values,
 )
-from hankelorder import experiments
+from hankelorder import estimators, experiments
 from hankelorder.estimators import _rank_sweeps
 from hankelorder.experiments import _exp_family_conditions
 
@@ -300,17 +300,17 @@ class TestSec33:
         ]
 
     def test_three_ranks_in_one_decision_at_their_default_cuts(self, tmp_path, monkeypatch):
-        decide, calls = experiments._decide, []
+        decide, calls = estimators._decide, []
 
         def recording(spectra, lengths, kind, value):
-            calls.append((spectra.shape, lengths, kind, list(value)))
+            calls.append((spectra.shape, lengths.ravel().tolist(), kind, value.ravel().tolist()))
             return decide(spectra, lengths, kind, value)
 
-        monkeypatch.setattr(experiments, "_decide", recording)
+        monkeypatch.setattr(estimators, "_decide", recording)
         run_experiment(ExperimentSpec("sec33_nonhomogeneous"), tmp_path / "sec33.csv")
         # 10 x 10, 11 x 10 and 10 x 11: cut max(rows, cols) * eps each
         eps = np.finfo(float).eps
-        assert calls == [((3, 11), 10, "relative_threshold", [10 * eps, 11 * eps, 11 * eps])]
+        assert calls == [((3, 1, 11), [10, 10, 10], "relative_threshold", [10 * eps, 11 * eps, 11 * eps])]
 
 
 class TestOffsetEffect:

@@ -76,6 +76,12 @@ class TestGenModeSum:
         sig = gen_mode_sum(pole_pair_modes(p=10.0, q=3), 3)
         assert sig.samples[0] == 1.125
 
+    def test_pole_spacing_past_float_range_rejected(self):
+        # 2^1023 is the largest power of two in float range
+        assert [m.coefficient for m in pole_pair_modes(10.0, -1023).modes] == [2.0**1023, 0.5]
+        with pytest.raises(ValueError, match=r"^q=-1024 puts the pole spacing 2\^-q outside float range$"):
+            pole_pair_modes(10.0, -1024)
+
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
             gen_mode_sum(ModeSum([Mode(1.0, 0.5)]), 0)
