@@ -25,9 +25,6 @@ from .rank import EPS, RELATIVE, RankPolicy, _decide
 from .signals import Signal, _fmt, _write_csv
 
 __all__ = [
-    "METHOD_HOKALMAN",
-    "METHOD_AIC",
-    "METHOD_COVDET",
     "SweepPoint",
     "RankSweep",
     "OrderEstimate",
@@ -52,6 +49,11 @@ METHOD_COVDET = "covariance_determinant"
 # sets the reduction tree's block height (this many rows per column) and
 # group size (this many blocks to one LAPACK call).
 _TALL_ROWS_PER_COL = 16
+
+# hokalman_order's estimate needs this many equal ranks at the end of the sweep
+_PLATEAU_LEN = 3
+# covdet_order reads a collapse where |det_m| falls to this fraction of |det_{m-1}|
+_COLLAPSE_RATIO = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,14 +258,14 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankP
     in ``_rank_sweeps``), and every decision is the one ``_rank_sweeps``
     makes, bit for bit.
 
-    Rows are dropped only when max|y| sqrt(n_max L) lies well inside float
-    range; otherwise a skipped n could overflow, and every n of the whole
-    stack is decided, so a sweep past float range raises the error
-    ``_rank_sweeps`` raises."""
+    A skipped n could overflow unless max|y| sqrt(n_max L) lies well
+    inside float range.  Otherwise every n of the whole stack is decided
+    first, on the same points: a sweep past float range raises the error
+    ``_rank_sweeps`` raises, and one in range is walked as usual."""
     points = _sweep_points(samples, n_max, columns)
     # each sigma_1 is at most its Frobenius norm, at most max|y| sqrt(n_max L); 16 leaves room for rounding
     if not float(np.abs(samples).max(initial=0.0)) * math.sqrt(n_max * samples.shape[-1]) < sys.float_info.max / 16:
-        return [plateau_onset(s) for s in _rank_sweeps(samples, n_max, columns, policy)]
+        _decide_points(points, samples, policy)
     onsets = np.full(len(samples), n_max)
     live, final = np.arange(len(samples)), None
     for shape, matrices in reversed(points):
@@ -296,16 +298,14 @@ def hokalman_order(
     n_max: int,
     policy: RankPolicy | None = None,
     *,
-    plateau_len: int = 3,
     columns: str = "all",
 ) -> tuple[OrderEstimate, RankSweep]:
     """Rank sweep over n = 2..n_max with plateau-based order selection.
 
-    The estimate is the final sweep value provided the last
-    ``plateau_len`` ranks are all equal; otherwise the result is
-    inconclusive and the full sweep is returned for inspection.  The
-    default policy is the per-matrix relative threshold
-    max(rows, cols) * eps.
+    The estimate is the final sweep value provided the last three ranks
+    are all equal; otherwise the result is inconclusive and the full
+    sweep is returned for inspection.  The default policy is the
+    per-matrix relative threshold max(rows, cols) * eps.
 
     Long signals (``columns="all"`` and L - n_max + 1 >= 16 n_max)
     factor H_{n_max}^T once, by a blocked tall-skinny QR that factors
@@ -316,15 +316,12 @@ def hokalman_order(
     ``condition`` values from the QR path can differ from the dense ones
     in the last bits.
     """
-    if plateau_len < 1:
-        raise ValueError("plateau_len must be >= 1")
     _check_sweep_length(len(signal), n_max)
     [sweep] = _rank_sweeps(signal.samples[None], n_max, columns, policy)
     ranks = sweep.ranks
-    tail = ranks[-plateau_len:]
-    conclusive = len(ranks) >= plateau_len and len(set(tail)) == 1
+    conclusive = len(ranks) >= _PLATEAU_LEN and len(set(ranks[-_PLATEAU_LEN:])) == 1
     diagnostics = {
-        "plateau_len": plateau_len,
+        "plateau_len": _PLATEAU_LEN,
         "columns": columns,
         "policy": (policy.describe() if policy is not None else "default(max(shape)*eps)"),
         "conclusive": conclusive,
@@ -437,26 +434,26 @@ def covariance_determinants(signal: Signal, m_range: Iterable[int]) -> CovDetRep
     return CovDetReport(tuple(rows_out))
 
 
-def covdet_order(report: CovDetReport, collapse_ratio: float = 1e-6) -> OrderEstimate:
+def covdet_order(report: CovDetReport) -> OrderEstimate:
     """Read an order suggestion off the determinant collapse.
 
     The suggested order is the first m whose determinant magnitude falls
-    below ``collapse_ratio`` times the previous one (orders must be
-    consecutive for the ratio to be meaningful).  Without a collapse the
-    result is inconclusive, mirroring how the determinant table is often
-    unreadable in practice.
+    to 1e-6 times the previous one or below (orders must be consecutive
+    for the ratio to be meaningful).  Without a collapse the result is
+    inconclusive, mirroring how the determinant table is often unreadable
+    in practice.
     """
     prev_m, prev_det = None, None
     for m, det in report.per_order:
         if prev_det is not None and m == prev_m + 1:
-            if abs(prev_det) == 0.0 or abs(det) <= collapse_ratio * abs(prev_det):
+            if abs(prev_det) == 0.0 or abs(det) <= _COLLAPSE_RATIO * abs(prev_det):
                 return OrderEstimate(
                     m,
                     METHOD_COVDET,
-                    {"collapse_ratio": collapse_ratio, "det": det, "prev_det": prev_det},
+                    {"collapse_ratio": _COLLAPSE_RATIO, "det": det, "prev_det": prev_det},
                 )
         prev_m, prev_det = m, det
-    return OrderEstimate(None, METHOD_COVDET, {"collapse_ratio": collapse_ratio})
+    return OrderEstimate(None, METHOD_COVDET, {"collapse_ratio": _COLLAPSE_RATIO})
 
 
 def _sweep_section(name: str | None, sweep: RankSweep) -> tuple:

@@ -60,11 +60,10 @@ class ExperimentSpec:
 class ExperimentSummary:
     name: str
     headline: str
-    status: str
     output_path: Path
 
     def line(self) -> str:
-        return f"{self.name},{self.headline},{self.status}"
+        return f"{self.name},{self.headline},ok"
 
 
 Section = tuple[str, str, Sequence[tuple]]  # (section name, column header, data rows)
@@ -91,6 +90,13 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
     levels = [0.0, params["noise_rel_small"], params["noise_rel_large"]]
     qs = range(params["q_min"], params["q_max"] + 1)
     cleans = {q: gen_mode_sum(pole_pair_modes(p, q), count).samples for q in qs}
+    # noisy row i (level index 1 or 2) of pole pair q is seeded with seed + 97 q + i
+    noisy = [i for i in (1, 2) if levels[i] > 0.0]
+    if qs and noisy and seed + 97 * qs[0] + noisy[0] < 0:
+        raise ValueError(
+            f"q_min={qs[0]} seeds a noisy row with seed + 97*q + i = {seed + 97 * qs[0] + noisy[0]}, "
+            f"which is negative; this q_min needs a seed >= {-97 * qs[0] - noisy[0]}"
+        )
     grid = list(itertools.product(range(len(levels)), qs))
     noises = (
         NoiseSpec(levels[i] * float(np.abs(cleans[q]).max()), seed + 97 * q + i) if levels[i] > 0.0 else None
@@ -250,6 +256,8 @@ def _exp_family_conditions(n0: int, m: int, n_values: Sequence[int], dps: int) -
 def _run_fig5(params: dict, seed: int) -> tuple[str, list[Section]]:
     if params["cond_n_max"] < 2:
         raise ValueError("cond_n_max must be >= 2")
+    if params["cond_dps"] < 1:
+        raise ValueError("cond_dps must be >= 1")
     signal = gen_high_order("exponential", params["n0"], params["count"], params["m"])
     est, sweep = hokalman_order(signal, params["n_max"])
     conds = _exp_family_conditions(
@@ -461,4 +469,4 @@ def run_experiment(spec: ExperimentSpec, output_path: str | Path) -> ExperimentS
 
     header = [f"experiment: {exp.name}", f"artifact_version: {__version__}", f"seed: {seed}"]
     header += [f"param {key}: {_fmt(params[key])}" for key in sorted(params)]
-    return ExperimentSummary(exp.name, headline, "ok", _write_csv(output_path, sections, header))
+    return ExperimentSummary(exp.name, headline, _write_csv(output_path, sections, header))

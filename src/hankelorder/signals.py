@@ -34,7 +34,6 @@ __all__ = [
     "pole_pair_modes",
     "add_noise",
     "add_offset",
-    "snr_db",
     "rational_mode_sum",
     "write_signal_csv",
     "write_pair_csv",
@@ -254,19 +253,11 @@ def pole_pair_modes(p: float = 10.0, q: int = 1) -> ModeSum:
     ])
 
 
-def gen_high_order(
-    f0: str,
-    n0: int,
-    count: int,
-    m: int = 1,
-    schedule: Sequence[float] | None = None,
-    sample_period: float = 1.0,
-) -> Signal:
+def gen_high_order(f0: str, n0: int, count: int, m: int = 1, sample_period: float = 1.0) -> Signal:
     """Superposition of m*n0 scaled copies of a base function.
 
-    y[n] = (1/n0) * sum_{k=1..m*n0} f0(n*T / s_k), with f0 either a
-    decaying exponential exp(-x) or a sinusoid sin(x).  The default time
-    scale schedule is s_k = k.
+    y[n] = (1/n0) * sum_{k=1..m*n0} f0(n*T / k), with f0 either a
+    decaying exponential exp(-x) or a sinusoid sin(x).
     """
     _validate_grid(count, sample_period)
     if f0 not in ("sinusoid", "exponential"):
@@ -274,34 +265,17 @@ def gen_high_order(
     if n0 < 1 or m < 1:
         raise ValueError("n0 and m must be >= 1")
     terms = m * n0
-    default_schedule = [float(k) for k in range(1, terms + 1)]
-    if schedule is None:
-        scales = default_schedule
-    else:
-        if len(schedule) < terms:
-            raise ValueError(f"schedule must supply at least m*n0 = {terms} entries")
-        scales = [float(s) for s in schedule[:terms]]
-    if any(s <= 0 for s in scales):
-        raise ValueError("every schedule entry must be > 0")
-
-    sched_desc = "k" if scales == default_schedule else "custom"
-    prov = f"high_order[f0={f0}, n0={n0}, m={m}, s_k={sched_desc}], T={sample_period:g}"
+    prov = f"high_order[f0={f0}, n0={n0}, m={m}, s_k=k], T={sample_period:g}"
     if f0 == "exponential":
-        spec = ModeSum([Mode(1.0 / n0, 1.0 / s) for s in scales])
+        spec = ModeSum([Mode(1.0 / n0, 1.0 / k) for k in range(1, terms + 1)])
         sig = gen_mode_sum(spec, count, sample_period)
         return replace(sig, provenance=prov)
     t = np.arange(count, dtype=float) * sample_period
     out = np.zeros(count)
-    for s in scales:
-        out += np.sin(t / s)
+    for k in range(1, terms + 1):
+        out += np.sin(t / k)
     out /= n0
-    return Signal(
-        samples=out,
-        sample_period=sample_period,
-        provenance=prov,
-        true_order=2 * len(set(scales)),
-        modes=None,
-    )
+    return Signal(samples=out, sample_period=sample_period, provenance=prov, true_order=2 * terms)
 
 
 def gen_nonhomogeneous(count: int, sample_period: float = 1.0) -> tuple[Signal, Signal]:
@@ -385,20 +359,6 @@ def add_offset(signal: Signal, offset: float) -> Signal:
         true_order=true_order,
         modes=merged,
     )
-
-
-def snr_db(signal: Signal, noisy: Signal) -> float:
-    """20*log10(rms(signal) / rms(noisy - signal)); +inf for identical inputs."""
-    if len(signal) != len(noisy):
-        raise ValueError("signals must have equal lengths")
-    diff = noisy.samples - signal.samples
-    rms_diff = math.sqrt(float(np.mean(diff**2)))
-    if rms_diff == 0.0:
-        return math.inf
-    rms_sig = math.sqrt(float(np.mean(signal.samples**2)))
-    if rms_sig == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(rms_sig / rms_diff)
 
 
 def rational_mode_sum(

@@ -397,6 +397,28 @@ class TestExperiment:
         assert capsys.readouterr().out == "fig3_pole_proximity,q0=18,ok\n"
         assert out.read_text().splitlines()[-2:] == ["# section: rank_grid", "noise,q,n,rank"]
 
+    def test_fig3_negative_q_with_a_negative_seed_names_q_min(self, tmp_path, capfd):
+        # noisy rows are seeded with seed + 97 q + i, negative at q = -1 and the default seed 30
+        out = tmp_path / "fig3.csv"
+        argv = ["experiment", "fig3_pole_proximity", "--q-min", "-1", "--q-max", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capfd.readouterr() == (
+            "",
+            "error: q_min=-1 seeds a noisy row with seed + 97*q + i = -66, which is negative; "
+            "this q_min needs a seed >= 96\n",
+        )
+        assert not out.exists()
+        assert main(["--seed", "96"] + argv) == 0
+        assert main(argv + ["--noise-rel-small", "0", "--noise-rel-large", "0"]) == 0
+        assert capfd.readouterr() == ("fig3_pole_proximity,q0=18,ok\n" * 2, "")
+
+    @pytest.mark.parametrize("digits", ["-5", "0"])
+    def test_fig5_with_fewer_than_one_digit_names_cond_dps(self, tmp_path, capfd, digits):
+        out = tmp_path / "fig5.csv"
+        assert main(["experiment", "fig5_high_order_exp", "--cond-dps", digits, "--out", str(out)]) == 2
+        assert capfd.readouterr() == ("", "error: cond_dps must be >= 1\n")
+        assert not out.exists()
+
     def test_identical_invocations_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["--seed", "4", "experiment", "fig3_pole_proximity"]

@@ -87,10 +87,6 @@ class TestHokalmanOrder:
         assert est.order is None
         assert not est.conclusive
 
-    def test_plateau_len_one_takes_final_value(self):
-        est, _ = hokalman_order(gen_y5(40), 8, columns="square", plateau_len=1)
-        assert est.order == 5
-
     def test_explicit_policy_is_used(self):
         est, sweep = hokalman_order(_first_order(), 6, RankPolicy.gap(1e3))
         assert est.order == 1

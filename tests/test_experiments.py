@@ -108,7 +108,7 @@ class TestRegistry:
             start = time.perf_counter()
             summary = run_experiment(ExperimentSpec(name), tmp_path / f"{name}.csv")
             elapsed = time.perf_counter() - start
-            assert summary.status == "ok"
+            assert summary.line().endswith(",ok")
             assert (tmp_path / f"{name}.csv").exists()
             assert elapsed < 60.0, name
 
