@@ -87,6 +87,16 @@ class TestHokalmanOrder:
         assert est.order is None
         assert not est.conclusive
 
+    def test_plateau_needs_three_equal_final_ranks(self):
+        est, sweep = hokalman_order(_first_order(), 4)
+        assert sweep.ranks == [1, 1, 1]
+        assert est.order == 1
+        assert est.diagnostics["plateau_len"] == 3
+        est, sweep = hokalman_order(_first_order(), 3)
+        assert sweep.ranks == [1, 1]
+        assert est.order is None
+        assert not est.conclusive
+
     def test_explicit_policy_is_used(self):
         est, sweep = hokalman_order(_first_order(), 6, RankPolicy.gap(1e3))
         assert est.order == 1
@@ -766,6 +776,14 @@ class TestCovdetOrder:
         est = covdet_order(report)
         assert est.order == 3
         assert est.method == "covariance_determinant"
+
+    def test_collapse_is_a_drop_to_one_millionth(self):
+        at_ratio = covdet_order(estimators.CovDetReport(((2, 1.0), (3, -1e-6))))
+        assert at_ratio.order == 3
+        assert at_ratio.diagnostics["collapse_ratio"] == 1e-6
+        above_ratio = covdet_order(estimators.CovDetReport(((2, 1.0), (3, 2e-6))))
+        assert above_ratio.order is None
+        assert above_ratio.diagnostics == {"collapse_ratio": 1e-6}
 
     def test_white_noise_is_inconclusive(self):
         rng = np.random.default_rng(3)

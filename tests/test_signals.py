@@ -204,6 +204,15 @@ class TestGenHighOrder:
         assert sig.samples == pytest.approx(expected, abs=1e-15)
         assert sig.true_order == 4  # two sinusoids, two poles each
 
+    def test_default_schedule_is_k(self):
+        # oracle: direct summation with s_k = k for k = 1..m*n0 = 1..4
+        sig = gen_high_order("exponential", 2, 5, m=2)
+        n = np.arange(5.0)
+        expected = sum(np.exp(-n / k) for k in range(1, 5)) / 2.0
+        assert sig.samples == pytest.approx(expected, rel=1e-14)
+        assert sig.true_order == 4
+        assert "s_k=k" in sig.provenance
+
     def test_unknown_base_function_rejected(self):
         with pytest.raises(ValueError):
             gen_high_order("gaussian", 2, 5)
