@@ -204,38 +204,44 @@ def _decide_points(points: list, samples: np.ndarray, policy: RankPolicy | None)
     max(rows, cols) * eps is taken per point.  A largest singular value
     past float range raises ValueError naming the first such matrix's
     shape and the largest |y|."""
-    shapes = np.array([shape for shape, _ in points], dtype=int).reshape(-1, 2)
-    lengths = shapes.min(1)
+    lengths = [min(shape) for shape, _ in points]
     # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
-    spectra = np.zeros((len(points), len(samples), lengths.max(initial=1) + 1))
+    spectra = np.zeros((len(points), len(samples), max(lengths, default=1) + 1))
     if policy is None:
-        kind, value = RELATIVE, shapes.max(1)[:, None] * EPS
+        kind, value = RELATIVE, np.array([max(shape) for shape, _ in points])[:, None] * EPS
     else:
         kind, value = policy.kind, policy.value
     try:
         for i, (_, matrices) in enumerate(points):
             spectra[i, :, : lengths[i]] = np.linalg.svd(matrices, compute_uv=False)
-        return _decide(spectra, lengths[:, None], kind, value)
+        return _decide(spectra, np.array(lengths, dtype=int)[:, None], kind, value)
     except ValueError:  # np.linalg.LinAlgError is one, and _decide's spectrum check
         # name the first point whose SVD failed or gave a value past float range
         i = next((j for j in range(i) if not np.isfinite(spectra[j]).all()), i)
-        shape = shapes[i]
+        rows, cols = points[i][0]
         raise ValueError(
-            f"the largest singular value of the {shape[0]} x {shape[1]} Hankel matrix of a signal "
+            f"the largest singular value of the {rows} x {cols} Hankel matrix of a signal "
             f"with max |y| = {_fmt(float(np.abs(samples).max()))} leaves float range"
         ) from None
+
+
+def _sweep_table(
+    samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The decision table of the sweep over n = n_min..n_max of each row
+    of a (k, L) stack of finite samples (k may be 0), decided in one pass
+    (``_decide_points``): the n values, then the rank, gap and condition
+    arrays of shape (points, k), whose column j is row j's sweep.  The
+    arguments are checked as in ``_sweep_points``."""
+    points = _sweep_points(samples, n_max, columns, n_min)
+    return [shape[0] for shape, _ in points], *_decide_points(points, samples, policy)
 
 
 def _rank_sweeps(
     samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
 ) -> list[RankSweep]:
-    """The rank sweep over n = n_min..n_max of each row of a (k, L) stack
-    of finite samples (k may be 0), decided in one pass
-    (``_decide_points``).  The arguments are checked as in
-    ``_sweep_points``."""
-    points = _sweep_points(samples, n_max, columns, n_min)
-    ranks, gaps, conds = _decide_points(points, samples, policy)
-    ns = [shape[0] for shape, _ in points]
+    """``_sweep_table`` as one RankSweep per row of the stack."""
+    ns, ranks, gaps, conds = _sweep_table(samples, n_max, columns, policy, n_min)
     return [
         RankSweep(tuple(map(SweepPoint, ns, r, g, c)))
         for r, g, c in zip(ranks.T.tolist(), gaps.T.tolist(), conds.T.tolist())
@@ -380,6 +386,15 @@ def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
     R[j, j]^2 is the residual of regressor column j on the columns before
     it, a sum of squares of the same kind, so the order-p fit counts as
     rank-deficient when some R[j, j]^2 with j < p is at or under the floor.
+
+    An order-1 rss past float range (data past about 1e150) is not an
+    error: the fits are then made on y 2^-e, with e the binary exponent
+    of max|y| (``math.frexp``), whose values are all below 1.  Scaling by
+    a power of two is exact above the subnormals, and it shifts every
+    aic(p) by the same 2 e K ln 2, so the selection is that of y.  The
+    report and ``rss_floor`` are then those of y 2^-e (rss_p 4^-e and
+    aic(p) - 2 e K ln 2), and the diagnostics record e as
+    ``rss_scale_exponent`` (0 when no scaling was needed).
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -387,21 +402,37 @@ def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
         raise ValueError(f"signal must have at least 2*p_max + 1 = {2 * p_max + 1} samples")
     y = signal.samples
     k = len(y) - p_max
-    w = _windows(y, p_max + 1)  # rows (y[n-p_max], ..., y[n])
-    r = np.linalg.qr(np.concatenate((w[:, -2::-1], w[:, -1:]), axis=1), mode="r")
-    tail = r[:0:-1, -1]  # R[p_max, -1], ..., R[1, -1]
-    with np.errstate(over="ignore"):
-        rss = np.cumsum(tail * tail)[::-1].tolist()
+    exponent = 0
+    r, rss = _ar_residuals(y, p_max)
     # rss_1 is the largest, so no order overflows unless order 1 does
     if not math.isfinite(rss[0]):
-        raise ValueError("the residual sum of squares of the order-1 AR fit overflows float range")
+        exponent = math.frexp(float(np.abs(y).max()))[1]
+        y = np.ldexp(y, -exponent)
+        r, rss = _ar_residuals(y, p_max)
     scale = min(max(k * (p_max + 1) * (EPS / 2) * float(np.abs(y).max()), 1e-150), 1e154)
     floor = scale * scale
     rows = tuple((p, v, k * math.log(max(v, floor) / k) + 2.0 * p) for p, v in enumerate(rss, 1))
     report = AicReport(rows, min(rows, key=lambda row: (row[2], row[0]))[0])
     deficient = int(np.count_nonzero(np.minimum.accumulate(np.abs(r.diagonal()[:p_max])) <= scale))
-    diagnostics = {"p_max": p_max, "residual_count": k, "rank_deficient_fits": deficient, "rss_floor": floor}
+    diagnostics = {
+        "p_max": p_max,
+        "residual_count": k,
+        "rank_deficient_fits": deficient,
+        "rss_floor": floor,
+        "rss_scale_exponent": exponent,
+    }
     return OrderEstimate(report.selected, METHOD_AIC, diagnostics), report
+
+
+def _ar_residuals(y: np.ndarray, p_max: int) -> tuple[np.ndarray, list[float]]:
+    """The R factor of [y[n-1] ... y[n-p_max] | y[n]], n = p_max..len-1,
+    and rss_p = sum_{i>=p} R[i, -1]^2 for p = 1..p_max (inf past float
+    range)."""
+    w = _windows(y, p_max + 1)  # rows (y[n-p_max], ..., y[n])
+    r = np.linalg.qr(np.concatenate((w[:, -2::-1], w[:, -1:]), axis=1), mode="r")
+    tail = r[:0:-1, -1]  # R[p_max, -1], ..., R[1, -1]
+    with np.errstate(over="ignore"):
+        return r, np.cumsum(tail * tail)[::-1].tolist()
 
 
 def covariance_determinants(signal: Signal, m_range: Iterable[int]) -> CovDetReport:

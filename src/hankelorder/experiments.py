@@ -30,8 +30,8 @@ from .estimators import (
     _decide_points,
     _order_str,
     _plateau_onsets,
-    _rank_sweeps,
     _sweep_section,
+    _sweep_table,
     aic_order,
     covariance_determinants,
     hokalman_order,
@@ -103,24 +103,25 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
         for i, q in grid
     )
     samples = _noisy_rows(np.array([cleans[q] for _, q in grid]).reshape(len(grid), count), noises)
-    sweeps = _rank_sweeps(samples, n_max, "square", None, params["n_min"])
-    rows = [
-        (levels[level_idx], q, pt.n, pt.rank)
-        for (level_idx, q), sweep in zip(grid, sweeps)
-        for pt in sweep.points
-    ]
+    ns, ranks, _, _ = _sweep_table(samples, n_max, "square", None, params["n_min"])
+    # each grid signal's sweep n = n_min..n_max, in grid order
+    rows = zip(
+        [levels[i] for i, _ in grid for _ in ns],
+        [q for _, q in grid for _ in ns],
+        ns * len(grid),
+        ranks.T.ravel().tolist(),
+    )
     # empirical q0: first q at which the noise-free rank at n_max drops
     # below 2.  The grid's noise-free sweeps (its first len(qs)) hold that
     # rank when they reach n_max; any other q is swept at n_max alone, one
     # q at a time, so the scan still stops at q0.
-    grid_ranks = {q: sweep.points[-1].rank for q, sweep in zip(qs, sweeps) if sweep.points}
+    grid_ranks = dict(zip(qs, ranks[-1].tolist())) if ns else {}
 
     def clean_rank(q: int) -> int:
         if q in grid_ranks:
             return grid_ranks[q]
         clean = gen_mode_sum(pole_pair_modes(p, q), count).samples
-        [sweep] = _rank_sweeps(clean[None], n_max, "square", None, n_min=n_max)
-        return sweep.points[0].rank
+        return int(_sweep_table(clean[None], n_max, "square", None, n_min=n_max)[1][0, 0])
 
     q0 = next((q for q in range(1, params["q_scan_max"] + 1) if clean_rank(q) < 2), None)
     headline = f"q0={q0 if q0 is not None else 'none'}"
@@ -314,18 +315,12 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     # noisy stack's largest |y|, which wide noise takes past the noise-free
     # pair; then full sweeps for the printed noise-free ranks
     onsets = _plateau_onsets(samples[2:], n_max, "all", None)
-    sweeps = _rank_sweeps(samples[:2], n_max, "all", None)
-
-    rows_free = [
-        (label, p.n, p.rank)
-        for label, sweep in (("plain", sweeps[0]), ("offset", sweeps[1]))
-        for p in sweep.points
-    ]
-    rows_onsets = []
-    favourable = 0
-    for t, (on_p, on_o) in enumerate(zip(onsets[::2], onsets[1::2])):
-        favourable += on_o <= on_p
-        rows_onsets.append((t, on_p, on_o))
+    ns, ranks, _, _ = _sweep_table(samples[:2], n_max, "all", None)
+    plain, offset = ranks.T.tolist()
+    rows_free = zip(["plain"] * len(ns) + ["offset"] * len(ns), ns * 2, plain + offset)
+    on_plain, on_offset = onsets[::2], onsets[1::2]
+    favourable = sum(o <= p for p, o in zip(on_plain, on_offset))
+    rows_onsets = zip(range(trials), on_plain, on_offset)
     sections: list[Section] = [
         ("noise_free_sweep", "variant,n,rank", rows_free),
         ("onsets", "trial,onset_plain,onset_offset", rows_onsets),
@@ -341,12 +336,12 @@ def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     amp = _noise_amplitude(base.samples, params["snr_db"])
     noisy = add_noise(base, NoiseSpec(amp, seed))
-    [sweep] = _rank_sweeps(noisy.samples[None], params["n_max"], "all", None)
+    ns, ranks, _, _ = _sweep_table(noisy.samples[None], params["n_max"], "all", None)
     rows = []
-    for pt in sweep.points:
-        mat = build_rectangular_hankel(noisy, pt.n, count - pt.n + 1)
+    for n, rank in zip(ns, ranks[:, 0].tolist()):
+        mat = build_rectangular_hankel(noisy, n, count - n + 1)
         _, pivots = row_echelon(mat.entries, params["echelon_tol"])
-        rows.append((pt.n, pt.rank, pivots))
+        rows.append((n, rank, pivots))
     headline = f"svd_rank={rows[-1][1]};echelon_rank={rows[-1][2]}"
     return headline, [("comparison", "n,svd_rank,echelon_rank", rows)]
 

@@ -16,7 +16,7 @@ import os
 import stat
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -391,6 +391,18 @@ def _fmt(x) -> str:
     return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
+def _fmt_column(column: tuple) -> Iterable[str]:
+    """``map(_fmt, column)``, with one formatting call for a column of
+    only ``float``s or only ``int``s.  The type checks are exact, so
+    ``bool``, ``np.float64`` and every other type go through ``_fmt``."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return map(format, column, repeat(".17g"))
+    if kinds == {int}:
+        return map(str, column)
+    return map(_fmt, column)
+
+
 def _write_csv(
     path: str | Path,
     sections: Iterable[tuple[str | None, str, Iterable[tuple]]],
@@ -409,24 +421,30 @@ def _write_csv(
         # a long signal cost about three extra garbage collections per file.
         rows = iter(rows)
         while chunk := list(islice(rows, 256)):
-            columns = [[_fmt(x) for x in column] for column in zip(*chunk)]
-            lines += map(",".join, zip(*columns))
+            lines += map(",".join, zip(*map(_fmt_column, zip(*chunk))))
     path = Path(path)
     _write_text(path, "\n".join(lines) + "\n")
     return path
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write text to path as UTF-8, as ``Path.write_text`` does, but
-    overwrite an existing file in place and then cut it to the written
-    length, instead of opening it with O_TRUNC: ext4 (auto_da_alloc, its
-    default) flushes a file truncated to zero at close.  Only a regular
-    file is cut, so pipes and devices such as /dev/null work; symlinks
-    are written through.  Like ``Path.write_text``, it is not atomic."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
-        f.write(text)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+    """Write text to path as UTF-8 bytes, with LF line ends on every
+    platform, but overwrite an existing file in place and then cut it to
+    the written length, instead of opening it with O_TRUNC: ext4
+    (auto_da_alloc, its default) flushes a file truncated to zero at
+    close.  Only a regular file is cut, so pipes and devices such as
+    /dev/null work; symlinks are written through.  Like
+    ``Path.write_text``, it is not atomic."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _write_sidecar(path: Path, signals: Sequence[Signal]) -> None:

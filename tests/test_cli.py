@@ -145,6 +145,15 @@ class TestRank:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("p_max", ["1", "3"])
+    def test_aic_past_float_range_selects_the_exact_order_one_fit(self, tmp_path, capfd, p_max):
+        # the order-1 rss of a constant signal this large squares past float range
+        src = write_signal_csv(Signal(np.full(9, 6.52e229)), tmp_path / "c.csv")
+        out = tmp_path / "o.csv"
+        assert main(["estimate", str(src), "--method", "aic", "--p-max", p_max, "--out", str(out)]) == 0
+        assert capfd.readouterr() == ("order=1\n", "")
+        assert out.read_text().splitlines()[0] == "p,rss,aic"
+
     def test_long_signal_near_the_float_maximum_takes_the_dense_sweep(self, tmp_path, capfd):
         # the tall QR path's R leaves float range, though every sigma_1 is finite
         y = np.random.default_rng(1).uniform(-1, 1, 400) * 1e307

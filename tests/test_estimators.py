@@ -598,10 +598,21 @@ def test_full_rank_rows_are_decided_at_n_max_only(monkeypatch, size):
 
 class TestOverflowingData:
     # the residual squares past float range; a column norm past it leaves inf and nan in R
-    @pytest.mark.parametrize("samples", [np.r_[np.zeros(9), 1e200], np.full(40, 1.7e308)])
-    def test_ar_fit_past_float_range_rejected(self, samples):
-        with pytest.raises(ValueError, match="order-1 AR fit overflows float range"):
-            aic_order(Signal(samples), 3)
+    @pytest.mark.parametrize("samples", [np.r_[np.zeros(9), 1e200], np.full(40, 1.7e308), np.full(9, 6.52e229)])
+    def test_ar_fit_past_float_range_is_the_fit_of_the_scaled_signal(self, samples):
+        exponent = math.frexp(float(np.abs(samples).max()))[1]
+        estimate, report = aic_order(Signal(samples), 3)
+        scaled_estimate, scaled_report = aic_order(Signal(np.ldexp(samples, -exponent)), 3)
+        assert report == scaled_report
+        assert scaled_estimate.diagnostics["rss_scale_exponent"] == 0
+        assert estimate.diagnostics == {**scaled_estimate.diagnostics, "rss_scale_exponent": exponent}
+
+    @pytest.mark.parametrize("p_max", [1, 3])
+    def test_constant_signal_past_float_range_selects_order_one(self, p_max):
+        # a constant is an exact order-1 fit, whose rounding residual squares past float range
+        estimate, report = aic_order(Signal(np.full(9, 6.52e229)), p_max)
+        assert estimate.order == report.selected == 1
+        assert estimate.diagnostics["rss_scale_exponent"] == 764
 
     def test_covariance_past_float_range_rejected(self):
         with pytest.raises(ValueError, match="order-2 lag covariance overflows float range"):
@@ -947,6 +958,11 @@ def test_ar_baselines_match_the_column_stack_references(signal, data):
     size = len(signal)
     p_max = data.draw(st.integers(1, (size - 1) // 2), label="p_max")
     got, want = _outcome(aic_order, signal, p_max), _outcome(_reference_aic_order, signal, p_max)
+    if isinstance(want[0], str) and "AR fit overflows float range" in want[1]:
+        # past float range aic_order fits y 2^-e, whose values are all below 1
+        exponent = math.frexp(float(np.abs(signal.samples).max()))[1]
+        assert got[0].diagnostics["rss_scale_exponent"] == exponent
+        want = _outcome(_reference_aic_order, Signal(np.ldexp(signal.samples, -exponent)), p_max)
     if isinstance(want[0], str) or isinstance(got[0], str):  # one raised: both raise alike
         assert got == want
     else:

@@ -26,7 +26,7 @@ from hankelorder import (
     write_pair_csv,
     write_signal_csv,
 )
-from hankelorder.signals import _fmt, _noisy_rows
+from hankelorder.signals import _fmt, _noisy_rows, _write_csv, _write_text
 
 LN2 = math.log(2.0)
 
@@ -439,6 +439,13 @@ class TestRewrite:
             os.umask(old)
         assert path.stat().st_mode & 0o777 == 0o640
 
+    def test_shorter_non_ascii_rewrite_leaves_exactly_its_utf8_bytes(self, tmp_path):
+        path = tmp_path / "note.txt"
+        _write_text(path, "stale line\n" * 20)
+        text = "σ₁/σ₂ = ∞ ;; Größe\n"
+        _write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
     def test_symlink_is_written_through_and_kept(self, tmp_path):
         target = tmp_path / "target.csv"
         target.write_text("stale " * 1000, encoding="utf-8")
@@ -447,6 +454,40 @@ class TestRewrite:
         write_signal_csv(gen_y5(5), link)
         assert link.is_symlink()
         assert target.read_text(encoding="utf-8") == write_signal_csv(gen_y5(5), tmp_path / "f.csv").read_text()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308]
+_CSV_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_CSV_INTS = st.integers() | st.integers(10**20, 10**300) | st.integers(-(10**300), -(10**20))
+_CSV_CELLS = (
+    _CSV_FLOATS
+    | _CSV_INTS
+    | st.booleans()
+    | _CSV_FLOATS.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=5)
+)
+
+
+@st.composite
+def _csv_rows(draw) -> list[tuple]:
+    """Rows of 1-4 columns, each all floats, all ints or mixed cells, some
+    longer than one 256-row chunk: a column cycles through a short pool."""
+    height = draw(st.integers(1, 600))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(draw(st.sampled_from([_CSV_FLOATS, _CSV_INTS, _CSV_CELLS])), min_size=1, max_size=8))
+        columns.append([pool[i % len(pool)] for i in range(height)])
+    return list(zip(*columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_csv_rows())
+def test_typed_columns_write_what_fmt_writes_byte_for_byte(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    _write_csv(path, [("mixed", "a,b,c,d", rows)], ["comment"])
+    lines = ["# comment", "# section: mixed", "a,b,c,d"] + [",".join(map(_fmt, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @settings(max_examples=300, deadline=None)
