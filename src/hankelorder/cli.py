@@ -2,7 +2,8 @@
 
 All numerics live in the library modules; the CLI parses flags, wires
 files, and prints one headline per invocation.  Exit code 0 means the
-requested artifact was fully written; argument or data errors exit 2.
+requested artifact was fully written; argument or data errors, and
+sizes that do not fit in memory, exit 2.
 """
 
 from __future__ import annotations
@@ -265,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list":
             return _cmd_list()
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

@@ -21,8 +21,8 @@ from typing import Iterable
 import numpy as np
 
 from .hankel import _windows
-from .rank import EPS, RELATIVE, RankPolicy, _decide
-from .signals import Signal, _fmt, _write_csv
+from .rank import ABSOLUTE, EPS, RELATIVE, RankPolicy, _decide
+from .signals import Signal, _write_csv
 
 __all__ = [
     "SweepPoint",
@@ -163,9 +163,7 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     W = H_{n_max}^T = QR (R from the blocked reduction of ``_tall_r``),
     H_n^T stacks W[:, :n] on the n_max - n trailing windows; Q has
     orthonormal columns, so H_n shares its singular values with the
-    (2 n_max - n) x n matrix [R[:, :n]; trailing windows].  An R with an
-    entry past float range (data near the float maximum) falls back to
-    the dense path.
+    (2 n_max - n) x n matrix [R[:, :n]; trailing windows].
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -185,56 +183,63 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     ns = range(n_min, n_max + 1)
     if columns == "all" and rows >= _TALL_ROWS_PER_COL * n_max:
         r = _tall_r(_windows(y, n_max))
-        if np.isfinite(r).all():
-            stacked = np.concatenate([r, _windows(padded, n_max)[..., rows : rows + n_max - 1, :]], axis=-2)
-            return [((n, size - n + 1), stacked[..., : 2 * n_max - n, :n]) for n in ns]
+        stacked = np.concatenate([r, _windows(padded, n_max)[..., rows : rows + n_max - 1, :]], axis=-2)
+        return [((n, size - n + 1), stacked[..., : 2 * n_max - n, :n]) for n in ns]
     windows = _windows(padded, size)  # windows[..., i, j] = y[..., i + j] while i + j < L
     cols = [n if columns == "square" else size - n + 1 for n in ns]
     return [((n, c), windows[..., :n, :c]) for n, c in zip(ns, cols)]
 
 
-def _decide_points(points: list, samples: np.ndarray, policy: RankPolicy | None):
+def _scaled_rows(samples: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y, e): the (k, L) stack with each row whose bound on every sweep
+    sigma_1, max|y| sqrt(n_max L), reaches float_max / 16 scaled by 2^-e,
+    e the binary exponent of its max|y| (``math.frexp``), and the (k,)
+    exponents (0 for the rows kept as they are).  Past the bound no SVD,
+    QR or R factor can leave float range; the scale is exact, ranks, gaps
+    and conditions are ratios it does not change, and an absolute cut is
+    scaled with the row (``_decide_points``)."""
+    y = np.asarray(samples, dtype=float)
+    top = np.abs(y).max(axis=-1, initial=0.0)
+    # 16 leaves room for rounding; _sweep_points rejects n_max L < 1
+    past = top >= sys.float_info.max / 16 / math.sqrt(max(n_max * y.shape[-1], 1))
+    exponents = np.where(past, np.frexp(top)[1], 0)
+    return (np.ldexp(y, -exponents[..., None]) if past.any() else y), exponents
+
+
+def _decide_points(points: list, policy: RankPolicy | None, exponents: np.ndarray):
     """(rank, gap, condition) arrays of shape (points, k): the decisions at
-    sweep points (shape, matrices) whose matrices come from the k rows of
-    ``samples``, with one LAPACK SVD call per point for the whole stack.
-    A stacked SVD gives each matrix bit for bit the singular values a
-    call on that matrix alone gives.  All spectra go zero-padded into one
-    (points, k, m_max + 1) array, and one ``_decide`` call decides them.
-    ``policy`` None means the per-matrix default policy, whose cut
-    max(rows, cols) * eps is taken per point.  A largest singular value
-    past float range raises ValueError naming the first such matrix's
-    shape and the largest |y|."""
+    sweep points (shape, matrices) of k rows scaled by 2^-exponents
+    (``_scaled_rows``), one LAPACK SVD call per point for the whole stack
+    (each matrix gets bit for bit the singular values of a call on it
+    alone), then one ``_decide`` call on all spectra, zero-padded into a
+    (points, k, m_max + 1) array.  ``policy`` None means the per-matrix
+    default cut max(rows, cols) * eps."""
     lengths = [min(shape) for shape, _ in points]
     # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
-    spectra = np.zeros((len(points), len(samples), max(lengths, default=1) + 1))
+    spectra = np.zeros((len(points), len(exponents), max(lengths, default=1) + 1))
     if policy is None:
         kind, value = RELATIVE, np.array([max(shape) for shape, _ in points])[:, None] * EPS
     else:
         kind, value = policy.kind, policy.value
-    try:
-        for i, (_, matrices) in enumerate(points):
-            spectra[i, :, : lengths[i]] = np.linalg.svd(matrices, compute_uv=False)
-        return _decide(spectra, np.array(lengths, dtype=int)[:, None], kind, value)
-    except ValueError:  # np.linalg.LinAlgError is one, and _decide's spectrum check
-        # name the first point whose SVD failed or gave a value past float range
-        i = next((j for j in range(i) if not np.isfinite(spectra[j]).all()), i)
-        rows, cols = points[i][0]
-        raise ValueError(
-            f"the largest singular value of the {rows} x {cols} Hankel matrix of a signal "
-            f"with max |y| = {_fmt(float(np.abs(samples).max()))} leaves float range"
-        ) from None
+        if kind == ABSOLUTE:
+            value = np.ldexp(value, -exponents)
+    for i, (_, matrices) in enumerate(points):
+        spectra[i, :, : lengths[i]] = np.linalg.svd(matrices, compute_uv=False)
+    return _decide(spectra, np.array(lengths, dtype=int)[:, None], kind, value)
 
 
 def _sweep_table(
     samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
     """The decision table of the sweep over n = n_min..n_max of each row
-    of a (k, L) stack of finite samples (k may be 0), decided in one pass
-    (``_decide_points``): the n values, then the rank, gap and condition
-    arrays of shape (points, k), whose column j is row j's sweep.  The
-    arguments are checked as in ``_sweep_points``."""
-    points = _sweep_points(samples, n_max, columns, n_min)
-    return [shape[0] for shape, _ in points], *_decide_points(points, samples, policy)
+    of a (k, L) stack of finite samples (k may be 0; rows past the bound
+    of ``_scaled_rows`` scaled), decided in one pass (``_decide_points``):
+    the n values, then the (points, k) rank, gap and condition arrays,
+    whose column j is row j's sweep.  Arguments are checked by
+    ``_sweep_points``."""
+    y, exponents = _scaled_rows(samples, n_max)
+    points = _sweep_points(y, n_max, columns, n_min)
+    return [shape[0] for shape, _ in points], *_decide_points(points, policy, exponents)
 
 
 def _rank_sweeps(
@@ -260,18 +265,11 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankP
     exceeds min(shape) of the next n's matrix leaves without an SVD
     there: a decision counts at most min(shape) singular values, so that
     rank cannot recur.  Each step is one stacked SVD of the live rows'
-    views of the full sweep (the dense or tall path chosen by n_max, as
-    in ``_rank_sweeps``), and every decision is the one ``_rank_sweeps``
-    makes, bit for bit.
-
-    A skipped n could overflow unless max|y| sqrt(n_max L) lies well
-    inside float range.  Otherwise every n of the whole stack is decided
-    first, on the same points: a sweep past float range raises the error
-    ``_rank_sweeps`` raises, and one in range is walked as usual."""
-    points = _sweep_points(samples, n_max, columns)
-    # each sigma_1 is at most its Frobenius norm, at most max|y| sqrt(n_max L); 16 leaves room for rounding
-    if not float(np.abs(samples).max(initial=0.0)) * math.sqrt(n_max * samples.shape[-1]) < sys.float_info.max / 16:
-        _decide_points(points, samples, policy)
+    views of the full sweep of ``_scaled_rows`` (the dense or tall path
+    chosen by n_max, as in ``_rank_sweeps``), and every decision is the
+    one ``_rank_sweeps`` makes, bit for bit."""
+    y, exponents = _scaled_rows(samples, n_max)
+    points = _sweep_points(y, n_max, columns)
     onsets = np.full(len(samples), n_max)
     live, final = np.arange(len(samples)), None
     for shape, matrices in reversed(points):
@@ -281,7 +279,7 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankP
             live, final = live[fits], final[fits]
         if not live.size:
             break
-        [ranks], _, _ = _decide_points([(shape, matrices[live])], samples[live], policy)
+        [ranks], _, _ = _decide_points([(shape, matrices[live])], policy, exponents[live])
         final = ranks if final is None else final
         keep = ranks == final
         live, final = live[keep], final[keep]
@@ -311,16 +309,15 @@ def hokalman_order(
     The estimate is the final sweep value provided the last three ranks
     are all equal; otherwise the result is inconclusive and the full
     sweep is returned for inspection.  The default policy is the
-    per-matrix relative threshold max(rows, cols) * eps.
+    per-matrix relative threshold max(rows, cols) * eps.  A signal whose
+    sweep could leave float range is swept as y 2^-e (``_scaled_rows``).
 
     Long signals (``columns="all"`` and L - n_max + 1 >= 16 n_max)
-    factor H_{n_max}^T once, by a blocked tall-skinny QR that factors
-    blocks of 16 n_max rows and then their stacked R factors, and take
-    each spectrum from a small (2 n_max - n) x n matrix with the same
-    singular values; everything else runs one dense SVD per n.  Both
-    paths give the same ranks, but rounding-level ``gap`` and
-    ``condition`` values from the QR path can differ from the dense ones
-    in the last bits.
+    factor H_{n_max}^T once, by a blocked tall-skinny QR (``_tall_r``),
+    and take each spectrum from a small (2 n_max - n) x n matrix with the
+    same singular values; everything else runs one dense SVD per n.
+    Both paths give the same ranks, but rounding-level ``gap`` and
+    ``condition`` values from the QR path can differ in the last bits.
     """
     _check_sweep_length(len(signal), n_max)
     [sweep] = _rank_sweeps(signal.samples[None], n_max, columns, policy)
@@ -378,20 +375,21 @@ def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
     sqrt(K) u typically (Higham sec. 2.8's rule of thumb), so
     gamma = (p_max + 1) sqrt(K) u with u = 2^-53.  A column's norm is at
     most sqrt(K) max|y|, so floor = (K (p_max + 1) u max|y|)^2, kept
-    within [1e-300, 1e308] (1e-300 for all-zero or underflowed data).
-    Every order at or past the order of a noise-free signal sits under
-    it, and the argmin takes the smallest such order.  The floor scales
-    with the signal squared, so the selection is invariant under scaling.
+    within [1e-300, 1e308] (1e-300 for all-zero data).  Every order at or
+    past the order of a noise-free signal sits under it, and the argmin
+    takes the smallest such order.  The floor scales with the signal
+    squared, so the selection does not depend on the scale.
 
     R[j, j]^2 is the residual of regressor column j on the columns before
     it, a sum of squares of the same kind, so the order-p fit counts as
     rank-deficient when some R[j, j]^2 with j < p is at or under the floor.
 
-    An order-1 rss past float range (data past about 1e150) is not an
-    error: the fits are then made on y 2^-e, with e the binary exponent
-    of max|y| (``math.frexp``), whose values are all below 1.  Scaling by
-    a power of two is exact above the subnormals, and it shifts every
-    aic(p) by the same 2 e K ln 2, so the selection is that of y.  The
+    When the order-1 rss leaves float range (data past about 1e150), or
+    non-zero data put K (p_max + 1) u max|y| under the 1e-150 clamp, the
+    fits are made on y 2^-e, e the binary exponent of max|y|
+    (``math.frexp``), whose values are all below 1.  Scaling by a power
+    of two is exact above the subnormals, and it shifts every aic(p) by
+    the same 2 e K ln 2, so the selection is that of y.  The
     report and ``rss_floor`` are then those of y 2^-e (rss_p 4^-e and
     aic(p) - 2 e K ln 2), and the diagnostics record e as
     ``rss_scale_exponent`` (0 when no scaling was needed).
@@ -402,14 +400,15 @@ def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
         raise ValueError(f"signal must have at least 2*p_max + 1 = {2 * p_max + 1} samples")
     y = signal.samples
     k = len(y) - p_max
+    unit, top = k * (p_max + 1) * (EPS / 2), float(np.abs(y).max())
     exponent = 0
     r, rss = _ar_residuals(y, p_max)
     # rss_1 is the largest, so no order overflows unless order 1 does
-    if not math.isfinite(rss[0]):
-        exponent = math.frexp(float(np.abs(y).max()))[1]
-        y = np.ldexp(y, -exponent)
+    if not math.isfinite(rss[0]) or (top > 0.0 and unit * top < 1e-150):
+        exponent = math.frexp(top)[1]
+        y, top = np.ldexp(y, -exponent), math.ldexp(top, -exponent)
         r, rss = _ar_residuals(y, p_max)
-    scale = min(max(k * (p_max + 1) * (EPS / 2) * float(np.abs(y).max()), 1e-150), 1e154)
+    scale = min(max(unit * top, 1e-150), 1e154)
     floor = scale * scale
     rows = tuple((p, v, k * math.log(max(v, floor) / k) + 2.0 * p) for p, v in enumerate(rss, 1))
     report = AicReport(rows, min(rows, key=lambda row: (row[2], row[0]))[0])

@@ -275,8 +275,8 @@ def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
     n = params["n"]
     y, u = gen_nonhomogeneous(params["count"], params["sample_period"])
     matrices = [build_hankel(y, n).entries] + [build_augmented(y, u, n, side).entries for side in (BOTTOM, RIGHT)]
-    # one decision for the three matrices, each at its default cut max(shape) * eps
-    ranks, _, _ = _decide_points([(m.shape, m[None]) for m in matrices], y.samples[None], None)
+    # one decision for the three matrices of one unscaled row, each at its default cut max(shape) * eps
+    ranks, _, _ = _decide_points([(m.shape, m[None]) for m in matrices], None, np.zeros(1, dtype=int))
     unaug, bottom, right = ranks[:, 0].tolist()
     rows = [
         ("unaugmented", n, n, unaug),
@@ -311,9 +311,6 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     samples = _noisy_rows(np.broadcast_to(pair, (1 + trials, 2, count)), noises).reshape(-1, count)
     n_max = params["n_max"]
     _check_sweep_length(count, n_max)  # onsets need every n x n matrix, as in hokalman_order
-    # the noisy onsets first, so that past float range the error names the
-    # noisy stack's largest |y|, which wide noise takes past the noise-free
-    # pair; then full sweeps for the printed noise-free ranks
     onsets = _plateau_onsets(samples[2:], n_max, "all", None)
     ns, ranks, _, _ = _sweep_table(samples[:2], n_max, "all", None)
     plain, offset = ranks.T.tolist()

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import math
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -30,6 +32,7 @@ from hankelorder import (
     write_signal_csv,
     write_sweep_csv,
 )
+from hankelorder import cli, experiments
 from hankelorder.cli import ESTIMATE_METHODS, GENERATE_FAMILIES, _make_parser, main
 
 
@@ -53,6 +56,25 @@ class TestGenerate:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,y,u"
         assert len(lines) == 26
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"),
+             "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+    )
+    def test_size_past_memory_exits_two_with_one_line(self, tmp_path, capfd, monkeypatch, error, message):
+        # the generator raises as numpy does for --count 1000000000000, without allocating
+        def too_large(count):
+            raise error
+
+        monkeypatch.setattr(cli, "gen_y5", too_large)
+        out = tmp_path / "sig.csv"
+        assert main(["generate", "y5", "--count", "1000000000000", "--out", str(out)]) == 2
+        assert capfd.readouterr() == ("", message)
+        assert not out.exists()
 
     def test_unknown_family_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -119,31 +141,24 @@ class TestRank:
 
     @pytest.mark.parametrize("count", [40, 400])
     @pytest.mark.parametrize("command", [["rank"], ["estimate", "--method", "hokalman"]])
-    def test_signal_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capfd, command, count):
-        # 40 samples take the dense sweep, and so do 400 once the tall QR
-        # path's R leaves float range; the spectrum overflows, and both name the data
+    def test_signal_at_the_float_maximum_reads_order_one(self, tmp_path, capfd, command, count):
+        # 40 samples take the dense sweep and 400 the tall one; unscaled,
+        # every sigma_1 leaves float range, so both sweep y 2^-1024
         src = write_signal_csv(Signal(np.full(count, 1.7976931348623157e308)), tmp_path / "max.csv")
         out = tmp_path / "o.csv"
-        assert main([command[0], str(src), *command[1:], "--out", str(out)]) == 2
-        captured = capfd.readouterr()
-        assert captured.err == (
-            f"error: the largest singular value of the 2 x {count - 1} Hankel matrix of a signal "
-            "with max |y| = 1.7976931348623157e+308 leaves float range\n"
-        )
-        assert captured.out == ""
-        assert not out.exists()
+        assert main([command[0], str(src), *command[1:], "--out", str(out)]) == 0
+        assert capfd.readouterr() == ("order=1\n", "")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,rank,gap,condition"
+        assert [line.split(",")[:2] for line in lines[1:]] == [[str(n), "1"] for n in range(2, 9)]
 
-    def test_single_n_at_the_float_maximum_exits_two_with_one_line(self, tmp_path, capfd):
+    def test_single_n_at_the_float_maximum_reads_order_one(self, tmp_path, capfd):
         src = write_signal_csv(Signal(np.full(40, 1.7976931348623157e308)), tmp_path / "max.csv")
         out = tmp_path / "o.csv"
-        assert main(["rank", str(src), "--n", "5", "--out", str(out)]) == 2
-        captured = capfd.readouterr()
-        assert captured.err == (
-            "error: the largest singular value of the 5 x 5 Hankel matrix of a signal "
-            "with max |y| = 1.7976931348623157e+308 leaves float range\n"
-        )
-        assert captured.out == ""
-        assert not out.exists()
+        assert main(["rank", str(src), "--n", "5", "--out", str(out)]) == 0
+        assert capfd.readouterr() == ("order=1\n", "")
+        header, row = out.read_text().splitlines()
+        assert header == "n,rank,gap,condition" and row.startswith("5,1,")
 
     @pytest.mark.parametrize("p_max", ["1", "3"])
     def test_aic_past_float_range_selects_the_exact_order_one_fit(self, tmp_path, capfd, p_max):
@@ -154,8 +169,8 @@ class TestRank:
         assert capfd.readouterr() == ("order=1\n", "")
         assert out.read_text().splitlines()[0] == "p,rss,aic"
 
-    def test_long_signal_near_the_float_maximum_takes_the_dense_sweep(self, tmp_path, capfd):
-        # the tall QR path's R leaves float range, though every sigma_1 is finite
+    def test_long_signal_near_the_float_maximum_is_decided(self, tmp_path, capfd):
+        # unscaled, the tall QR path's R leaves float range, though every sigma_1 is finite
         y = np.random.default_rng(1).uniform(-1, 1, 400) * 1e307
         src = write_signal_csv(Signal(y), tmp_path / "big.csv")
         assert main(["rank", str(src), "--n-max", "10", "--out", str(tmp_path / "o.csv")]) == 0
@@ -372,24 +387,38 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: samples must all be finite\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "snr_db, trials, y_max",
-        [("40", "50", "1.6999999999999999e+308"), ("-6130", "50", "1.7108924659153015e+308"),
-         ("40", "0", "1.6999999999999999e+308")],
-    )
-    def test_offset_sweep_past_float_range_names_the_whole_stack(self, tmp_path, capfd, snr_db, trials, y_max):
-        # at -6130 dB the noisy signals reach past the noise-free pair, and
-        # the error names the largest |y| of all 102 signals; without
-        # trials it names the pair's
+    @pytest.mark.parametrize("snr_db, trials", [("40", "50"), ("-6130", "50"), ("40", "0")])
+    def test_offset_sweep_past_float_range_prints_its_headline(self, tmp_path, capfd, snr_db, trials):
+        # each signal past the sweep bound is swept as y 2^-e on its own
+        # (at -6130 dB the noisy plain signals too), so the plain signals
+        # read the onsets they read beside a unit offset
+        tables = {}
+        for offset in ("1.7e308", "1.0"):
+            out = tmp_path / f"{offset}.csv"
+            argv = ["experiment", "offset_effect", "--offset", offset, "--snr-db", snr_db, "--trials", trials,
+                    "--out", str(out)]
+            assert main(argv) == 0
+            if offset == "1.7e308":
+                assert capfd.readouterr() == (f"offset_effect,offset_onset<=plain:{trials}/{trials},ok\n", "")
+            lines = out.read_text().splitlines()
+            tables[offset] = (lines, [row.split(",") for row in lines[lines.index("trial,onset_plain,onset_offset") + 1 :]])
+        lines, onsets = tables["1.7e308"]
+        # 1.7e308 swamps the plain signal's values, at most 1: the offset signal is a constant
+        assert [line for line in lines if line.startswith("offset,")] == [f"offset,{n},1" for n in range(2, 11)]
+        assert len(onsets) == int(trials)
+        assert [plain for _, plain, _ in onsets] == [plain for _, plain, _ in tables["1.0"][1]]
+
+    def test_trials_past_memory_exit_two_with_one_line(self, tmp_path, capfd, monkeypatch):
+        # the noisy stack raises as numpy does for 10^11 trials, without allocating
+        def too_large(samples, noises):
+            raise MemoryError("Unable to allocate 5.82 TiB for an array with shape (100000000001, 2, 40) "
+                              "and data type float64")
+
+        monkeypatch.setattr(experiments, "_noisy_rows", too_large)
         out = tmp_path / "x.csv"
-        argv = ["experiment", "offset_effect", "--offset", "1.7e308", "--snr-db", snr_db, "--trials", trials,
-                "--out", str(out)]
-        assert main(argv) == 2
-        assert capfd.readouterr() == (
-            "",
-            f"error: the largest singular value of the 2 x 39 Hankel matrix of a signal with max |y| = {y_max} "
-            "leaves float range\n",
-        )
+        assert main(["experiment", "offset_effect", "--trials", "100000000000", "--out", str(out)]) == 2
+        assert capfd.readouterr() == ("", "error: Unable to allocate 5.82 TiB for an array with shape "
+                                          "(100000000001, 2, 40) and data type float64\n")
         assert not out.exists()
 
     def test_fig3_pole_spacing_past_float_range_exits_two_with_one_line(self, tmp_path, capsys):
@@ -700,9 +729,14 @@ def _signal_csv(values: list[float]) -> bytes:
     return ("n,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values))).encode()
 
 
+# none, or a power of two that takes a signal past the sweep bound or under AIC's floor clamp
+_SCALE = st.sampled_from([0, 0, 1016, 1020, 1024, -1000, -1024])
+
 _SIGNAL_BYTES = st.one_of(
-    st.integers(20, 150).map(lambda count: _signal_csv(gen_y5(count).samples.tolist())),
+    st.tuples(st.integers(20, 150), _SCALE).map(lambda a: _signal_csv(np.ldexp(gen_y5(a[0]).samples, a[1]).tolist())),
     st.lists(st.floats(-1e3, 1e3), min_size=20, max_size=150).map(_signal_csv),
+    st.tuples(st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), min_size=20, max_size=150),
+              _SCALE.filter(bool)).map(lambda a: _signal_csv(np.ldexp(a[0], a[1]).tolist())),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300).map(_signal_csv),
     st.binary(max_size=200),
 )
@@ -721,7 +755,14 @@ def _library_order(args) -> str:
     signal = read_signal_csv(args.input)
     policy = None if args.policy is None else _POLICY_OF[args.policy](args.tol)
     if args.command == "rank" and args.n is not None:
-        spectrum = singular_values(build_hankel(signal, args.n).entries)
+        # past the bound max|y| sqrt(n L) the n x n rank is that of y 2^-e, under an absolute cut scaled alike
+        y, exponent = signal.samples, 0
+        if float(np.abs(y).max()) * math.sqrt(args.n * len(y)) >= sys.float_info.max / 16:
+            exponent = math.frexp(float(np.abs(y).max()))[1]
+            y = np.ldexp(y, -exponent)
+        spectrum = singular_values(build_hankel(Signal(y), args.n).entries)
+        if policy is not None and policy.kind == "absolute_threshold":
+            return f"order={np.count_nonzero(spectrum.values > math.ldexp(policy.value, -exponent))}"
         return f"order={numerical_rank(spectrum, policy or default_policy((args.n, args.n))).rank}"
     if args.command == "rank" or args.method == "hokalman":
         estimate = hokalman_order(signal, args.n_max, policy)[0]
@@ -749,6 +790,11 @@ def test_any_invocation_exits_zero_or_two_with_one_line(capfd):
     @example(argv=["estimate", "{signal}", "--method=covdet", "--m-range=2:1000000000000"],
              signal=_signal_csv([1.0] * 40))
     @example(argv=["rank", "{signal}", "--n=6", "--policy=gap", "--tol=5.0"], signal=_NOISY_Y5)  # 6 at ratio 1e3
+    # AIC under its floor's clamp and past float range, and a rescaled n x n rank under an absolute cut
+    @example(argv=["estimate", "{signal}", "--method=aic"], signal=_signal_csv(np.ldexp(gen_y5(119).samples, -1000).tolist()))
+    @example(argv=["estimate", "{signal}", "--method=aic"], signal=_signal_csv(np.ldexp(gen_y5(119).samples, 1026).tolist()))
+    @example(argv=["rank", "{signal}", "--n=5", "--policy=absolute", "--tol=1e300"],
+             signal=_signal_csv(np.ldexp(gen_y5(40).samples, 1026).tolist()))
     def invoke(argv, signal):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "signal.csv"

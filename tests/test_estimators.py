@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hankelorder import estimators
-from hankelorder.signals import _fmt
 from hankelorder import (
     condition_number,
     default_policy,
@@ -202,15 +202,16 @@ class TestTallSweep:
             m.setattr(estimators, "_TALL_ROWS_PER_COL", 10**9)  # dense at every length
             assert hokalman_order(signal, n_max)[1].ranks == exact
 
-    def test_r_past_float_range_falls_back_to_the_dense_sweep(self, monkeypatch):
+    def test_data_whose_r_leaves_float_range_are_swept_scaled(self, monkeypatch):
         # every sigma_1 is finite (1.155e308 at n = 2), but the blocked QR
-        # leaves entries of R past float range
+        # of the unscaled data leaves entries of R past float range
         y = np.random.default_rng(1).uniform(-1, 1, 400) * 1e307
         assert _is_tall(len(y), 10)
         assert not np.isfinite(estimators._tall_r(sliding_window_view(y, 10))).all()
+        exponent = math.frexp(float(np.abs(y).max()))[1]
         _, sweep = hokalman_order(Signal(y), 10)
-        assert sweep.points == _dense_sweep(Signal(y), 10, None, monkeypatch).points
-        assert sweep.ranks == list(range(2, 11))
+        assert sweep.points == hokalman_order(Signal(np.ldexp(y, -exponent)), 10)[1].points
+        assert sweep.ranks == _dense_sweep(Signal(y), 10, None, monkeypatch).ranks == list(range(2, 11))
 
     def test_square_columns_stay_dense(self, monkeypatch):
         signal = gen_y5(2000)
@@ -349,16 +350,15 @@ class TestStackedSweeps:
 # one decision per sweep against a copy of the per-n decisions it replaced
 
 
-def _per_row_decide(spectra, policy):
+def _per_row_decide(spectra, kind, values):
     """The per-row rules as they ran on each n's (k, m) spectra before a
-    sweep was decided in one pass."""
+    sweep was decided in one pass, with one policy value per row."""
     if not np.isfinite(spectra).all() or (spectra[..., -1:] < 0).any():
         raise ValueError("singular values must be finite and >= 0")
     if (spectra[..., :-1] < spectra[..., 1:]).any():
         raise ValueError("singular values must be non-increasing")
-    kind, value = policy.kind, policy.value
     out = []
-    for vals in spectra.tolist():
+    for vals, value in zip(spectra.tolist(), values):
         top, bottom, m = vals[0], vals[-1], len(vals)
         cond = math.inf if bottom == 0.0 else top / bottom
         if top == 0.0:
@@ -382,20 +382,22 @@ def _per_row_decide(spectra, policy):
 
 def _per_n_sweeps(samples, n_max, columns, policy, n_min):
     """(n, rank, gap, condition) rows of each signal's sweep, decided once
-    per n as ``_rank_sweeps`` did before."""
+    per n as ``_rank_sweeps`` did before.  A signal whose bound
+    max|y| sqrt(n_max L) on every sigma_1 reaches float_max / 16 is swept
+    as y 2^-e, e the binary exponent of its max|y|, under an absolute cut
+    scaled by the same 2^-e."""
+    exponents = []
+    for y in samples:
+        top = float(np.abs(y).max())
+        exponents.append(math.frexp(top)[1] if top * math.sqrt(n_max * y.size) >= sys.float_info.max / 16 else 0)
+    scaled = np.array([np.ldexp(y, -e) for y, e in zip(samples, exponents)]).reshape(samples.shape)
     points = [[] for _ in range(len(samples))]
-    sweep = estimators._sweep_points(samples, n_max, columns, n_min)
-    try:
-        for shape, matrices in sweep:
-            spectra = np.linalg.svd(matrices, compute_uv=False)
-            decisions = _per_row_decide(spectra, policy if policy is not None else default_policy(shape))
-            for row, decision in zip(points, decisions):
-                row.append((shape[0], *decision))
-    except ValueError:
-        raise ValueError(
-            f"the largest singular value of the {shape[0]} x {shape[1]} Hankel matrix of a signal "
-            f"with max |y| = {_fmt(float(np.abs(samples).max()))} leaves float range"
-        ) from None
+    for shape, matrices in estimators._sweep_points(scaled, n_max, columns, n_min):
+        spectra = np.linalg.svd(matrices, compute_uv=False)
+        cut = policy or default_policy(shape)
+        values = [math.ldexp(cut.value, -e) if cut.kind == "absolute_threshold" else cut.value for e in exponents]
+        for row, decision in zip(points, _per_row_decide(spectra, cut.kind, values)):
+            row.append((shape[0], *decision))
     return points
 
 
@@ -463,15 +465,7 @@ _BETWEEN_CUTS = 0.9 ** np.arange(100.0) + 1e-14 * (-0.8) ** np.arange(100.0)
 @example((_BETWEEN_CUTS[None], 8, "all", None, 2))
 def test_one_pass_decision_matches_per_n_decisions_bit_for_bit(inputs):
     samples, n_max, columns, policy, n_min = inputs
-    with np.errstate(all="ignore"):
-        try:
-            want = _per_n_sweeps(samples, n_max, columns, policy, n_min)
-        except ValueError as exc:
-            # float-maximum signals: the same text, naming the same matrix shape
-            with pytest.raises(ValueError) as got:
-                estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
-            assert str(got.value) == str(exc)
-            return
+    want = _per_n_sweeps(samples, n_max, columns, policy, n_min)
     sweeps = estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
     got = [[_point_bits(p.n, p.rank, p.decision_gap, p.condition) for p in sweep.points] for sweep in sweeps]
     assert got == [[_point_bits(*point) for point in row] for row in want]
@@ -513,12 +507,12 @@ def _onset_signal(kind: str, size: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "constant":  # one rank at every n, so the walk reaches n = 2
         return np.full(size, rng.uniform(-3.0, 3.0))
-    if kind == "large":  # finite spectra, but past the bound that lets the walk drop rows
+    if kind == "large":  # finite spectra, but past the bound, so swept as y 2^-e
         return rng.standard_normal(size) * 10.0 ** rng.uniform(300.0, 307.0)
     return _sweep_signal(kind, size, seed)
 
 
-# one kind in ten lies past the bound that lets the walk drop rows, half of those past float range
+# one kind in ten lies past the bound and is swept scaled, half of those at the float maximum
 _ONSET_KINDS = ("noise", "modes", "near_cut", "zero", "constant", "spike") * 3 + ("large", "float_max")
 
 
@@ -541,7 +535,7 @@ def _onset_inputs(draw):
 @example((np.array([_BETWEEN_CUTS[:40], gen_y5(40).samples]), 10, "square", RankPolicy.gap()))
 @example((np.array([gen_y5(40).samples]), 1, "all", None))  # n_max below 2
 @example((np.array([gen_y5(40).samples, np.full(40, 1.7976931348623157e308)]), 10, "all", None))
-# finite at n = 19 and 18, where the rank changes, but past float range at n = 4..17
+# unscaled, finite at n = 19 and 18, where the rank changes, but past float range at n = 4..17
 @example((np.array([2.2e307 * (1.0 + 1e-3 * np.sin(np.arange(20.0)))]), 19, "all", None))
 # "all" sweeps past n = (L + 1) / 2, where min(shape) grows as n falls
 @example((np.random.default_rng(5).uniform(-1.0, 1.0, (3, 12)), 10, "all", None))
@@ -552,7 +546,7 @@ def test_plateau_onsets_equal_the_onsets_of_full_sweeps(inputs):
     try:
         want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, columns, policy)]
     except ValueError as exc:
-        # bad arguments, and float-maximum stacks: the text the whole stack's sweep raises
+        # bad arguments: the text the whole stack's sweep raises
         with pytest.raises(ValueError) as got:
             estimators._plateau_onsets(samples, n_max, columns, policy)
         assert str(got.value) == str(exc)
@@ -594,6 +588,63 @@ def test_full_rank_rows_are_decided_at_n_max_only(monkeypatch, size):
     # one SVD of the 5 matrices at n = 10 (the tall path's QR calls come before it)
     [(k, rows, cols)] = calls
     assert k == 5 and min(rows, cols) == 10
+
+
+# ---------------------------------------------------------------------------
+# one scale rule: past the sweep bound y 2^k is swept as y 2^-e
+
+
+_SCALE_KINDS = ("low_rank", "noisy", "constant", "zero")
+
+
+def _scale_signal(kind: str, size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "low_rank":
+        return _sweep_signal("modes", size, seed)
+    if kind == "noisy":
+        return _sweep_signal("modes", size, seed) + rng.uniform(-1e-6, 1e-6, size)
+    if kind == "constant":
+        return np.full(size, rng.uniform(-3.0, 3.0))
+    return np.zeros(size)
+
+
+@st.composite
+def _scale_inputs(draw):
+    """A stack whose non-zero rows have max|y| in [2^(s-1), 2^s), a k
+    that takes each of them past max|y| sqrt(n_max L) >= float_max / 16
+    (s + k >= 1020, with n_max L >= 6) and not past float_max
+    (s + k <= 1024), and a policy with the matching absolute cut of y 2^k."""
+    columns = draw(st.sampled_from(["all", "square"]))
+    n_max = draw(st.integers(2, 8))
+    tall = (estimators._TALL_ROWS_PER_COL + 1) * n_max - 1  # the first tall length
+    size = draw(st.integers(2 * n_max - 1, 40) | st.integers(tall, tall + 20))
+    kinds = draw(st.lists(st.sampled_from(_SCALE_KINDS), min_size=1, max_size=4))
+    s = draw(st.integers(-40, 40))
+    rows = [_scale_signal(kind, size, draw(st.integers(0, 2**32 - 1))) for kind in kinds]
+    samples = np.array([np.ldexp(y, s - math.frexp(float(np.abs(y).max()))[1]) for y in rows])
+    k = draw(st.integers(1020, 1024)) - s
+    policy = draw(st.sampled_from(["default", "relative", "absolute", "gap"]))
+    if policy == "relative":
+        return samples, k, n_max, columns, *[RankPolicy.relative(draw(st.floats(1e-16, 0.5)))] * 2
+    if policy == "gap":
+        return samples, k, n_max, columns, *[RankPolicy.gap(draw(st.floats(1.0, 1e12, exclude_min=True)))] * 2
+    if policy == "absolute":
+        cut = math.ldexp(draw(st.floats(1e-14, 0.5)), s)
+        return samples, k, n_max, columns, RankPolicy.absolute(cut), RankPolicy.absolute(math.ldexp(cut, k))
+    return samples, k, n_max, columns, None, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scale_inputs())
+def test_sweeps_past_the_bound_read_the_ranks_and_onsets_of_the_unscaled_stack(inputs):
+    samples, k, n_max, columns, policy, scaled_policy = inputs
+    big = np.ldexp(samples, k)
+    size = samples.shape[-1]
+    assert all(float(np.abs(y).max()) * math.sqrt(n_max * size) >= sys.float_info.max / 16 for y in big if y.any())
+    want = [sweep.ranks for sweep in estimators._rank_sweeps(samples, n_max, columns, policy)]
+    assert [sweep.ranks for sweep in estimators._rank_sweeps(big, n_max, columns, scaled_policy)] == want
+    onsets = estimators._plateau_onsets(samples, n_max, columns, policy)
+    assert estimators._plateau_onsets(big, n_max, columns, scaled_policy) == onsets
 
 
 class TestOverflowingData:
@@ -691,7 +742,22 @@ class TestAicOrder:
             scaled = aic_order(Signal(gen_y5(40).samples * scale), 10)[0]
             assert scaled.diagnostics["rss_floor"] == floor * scale**2
             assert scaled.order == 5
-        assert aic_order(Signal(gen_y5(40).samples * 2.0**-700), 10)[0].diagnostics["rss_floor"] == 1e-300
+        # at 2^-700 the floor's lower clamp would bind, so the fit is that of y 2^-e
+        y = gen_y5(40).samples
+        exponent = math.frexp(float(np.abs(y).max()))[1]
+        estimate, report = aic_order(Signal(y * 2.0**-700), 10)
+        scaled_estimate, scaled_report = aic_order(Signal(np.ldexp(y, -exponent)), 10)
+        assert report == scaled_report
+        assert estimate.diagnostics == {**scaled_estimate.diagnostics, "rss_scale_exponent": exponent - 700}
+        assert scaled_estimate.diagnostics["rss_scale_exponent"] == 0
+        assert estimate.order == 5
+
+    @pytest.mark.parametrize("scale, exponent", [(1e-140, -468), (1e-200, -667), (1e-300, -999)])
+    def test_data_under_the_floor_clamp_are_fit_scaled(self, scale, exponent):
+        # unscaled, every rss falls under the clamped 1e-300 floor, and order 1 was selected
+        estimate, _ = aic_order(Signal(gen_y5(119).samples * scale), 10)
+        assert estimate.order == 5
+        assert estimate.diagnostics["rss_scale_exponent"] == exponent
 
 
 # Exact and noise-free data: every order at or past the true order fits to
@@ -873,6 +939,8 @@ def _reference_aic_order(signal, p_max):
         regressors = np.column_stack([y[idx - i] for i in range(1, p + 1)])
         rcond = max(regressors.shape) * np.finfo(float).eps
         coeffs, _, rank, _ = np.linalg.lstsq(regressors, targets, rcond=rcond)
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"the coefficients of the order-{p} AR fit overflow float range")
         with np.errstate(over="ignore", invalid="ignore"):
             residuals = targets - regressors @ coeffs
             rss = float(residuals @ residuals)
@@ -958,9 +1026,18 @@ def test_ar_baselines_match_the_column_stack_references(signal, data):
     size = len(signal)
     p_max = data.draw(st.integers(1, (size - 1) // 2), label="p_max")
     got, want = _outcome(aic_order, signal, p_max), _outcome(_reference_aic_order, signal, p_max)
-    if isinstance(want[0], str) and "AR fit overflows float range" in want[1]:
-        # past float range aic_order fits y 2^-e, whose values are all below 1
-        exponent = math.frexp(float(np.abs(signal.samples).max()))[1]
+    top = float(np.abs(signal.samples).max())
+    if isinstance(want[0], str) and "coefficients" in want[1]:
+        # samples some 308 decades apart, such as a subnormal lag under a
+        # target near 1: lstsq has no finite fit to compare; the QR's rss stay finite
+        rss = [r for _, r, _ in got[1].per_order]
+        assert all(map(math.isfinite, rss)) and all(b <= a for a, b in zip(rss, rss[1:]))
+        want = got
+    overflows = isinstance(want[0], str) and "AR fit overflows float range" in want[1]
+    if overflows or 0.0 < (size - p_max) * (p_max + 1) * 2.0**-53 * top < 1e-150:
+        # past float range, or where the floor's lower clamp would bind,
+        # aic_order fits y 2^-e, whose values are all below 1
+        exponent = math.frexp(top)[1]
         assert got[0].diagnostics["rss_scale_exponent"] == exponent
         want = _outcome(_reference_aic_order, Signal(np.ldexp(signal.samples, -exponent)), p_max)
     if isinstance(want[0], str) or isinstance(got[0], str):  # one raised: both raise alike
