@@ -44,11 +44,19 @@ METHOD_HOKALMAN = "hokalman_rank"
 METHOD_AIC = "aic"
 METHOD_COVDET = "covariance_determinant"
 
-# A sweep takes the tall QR path once H_{n_max}^T has at least this many
-# rows per column; below it the dense per-n SVDs are as fast.  It also
-# sets the reduction tree's block height (this many rows per column) and
-# group size (this many blocks to one LAPACK call).
+# An "all" sweep takes the tall QR path once H_{n_max}^T has at least
+# _TALL_ROWS_PER_COL rows per column, or, from n_max = _TALL_N_MAX on,
+# once it is at least square.  Measured on a 2-vCPU host with one BLAS
+# thread (points plus decisions, 50-term sinusoid), the tall path costs
+# 0.97-1.11 of the dense per-n SVDs at L = 40, so the L = 40 experiments
+# (n_max <= 10) stay dense; from n_max = 8 on it costs 0.69-0.87 at
+# L = 119 (0.83 at fig4's and fig5's n_max = 60) and 0.54-0.92 at L = 200,
+# but these crossovers leave n_max < 16 under 16 rows per column dense.
 _TALL_ROWS_PER_COL = 16
+_TALL_N_MAX = 16
+# _tall_r's block height, in rows per column, and its group size, in blocks to one LAPACK call
+_TSQR_ROWS_PER_COL = 16
+_TSQR_GROUP = 16
 
 # hokalman_order's estimate needs this many equal ranks at the end of the sweep
 _PLATEAU_LEN = 3
@@ -121,27 +129,27 @@ class CovDetReport:
 
 
 def _tall_r(w: np.ndarray) -> np.ndarray:
-    """The (..., c, c) R factor of a stack of tall (..., rows, c) matrices
-    with rows >= 16 c, by a TSQR reduction tree (Demmel, Grigori, Hoemmen
-    & Langou, SIAM J. Sci. Comput. 34(1), 2012).
+    """The (..., c, c) R factor of a stack of (..., rows, c) matrices with
+    rows >= c, by a TSQR reduction tree (Demmel, Grigori, Hoemmen &
+    Langou, SIAM J. Sci. Comput. 34(1), 2012).
 
     w is split into blocks of 16 c rows (a zero-copy reshape of a window
     view), each factored while it sits in cache; the R factors of all
     blocks, stacked on the leftover rows, form the next, 16 times shorter
-    matrix, until one block remains.  Each LAPACK call takes at most 16
-    blocks of each matrix in the stack (16 k blocks for k matrices),
-    because np.linalg.qr copies its whole input first.  R has the
-    backward stability of one Householder QR of w, and the same singular
-    values up to rounding, but not the same bits.
+    matrix, until one block remains (at most 16 c rows are one QR).
+    Each LAPACK call takes at most 16 blocks of each matrix in the stack
+    (16 k blocks for k matrices), because np.linalg.qr copies its whole
+    input first.  R has the backward stability of one Householder QR of
+    w, and the same singular values up to rounding, but not the same bits.
     """
     c = w.shape[-1]
-    block = _TALL_ROWS_PER_COL * c
+    block = _TSQR_ROWS_PER_COL * c
     while (rows := w.shape[-2]) > block:
         nb = rows // block
         blocks = w[..., : nb * block, :].reshape(w.shape[:-2] + (nb, block, c))
         parts = [
-            np.linalg.qr(blocks[..., g : g + _TALL_ROWS_PER_COL, :, :], mode="r")
-            for g in range(0, nb, _TALL_ROWS_PER_COL)
+            np.linalg.qr(blocks[..., g : g + _TSQR_GROUP, :, :], mode="r")
+            for g in range(0, nb, _TSQR_GROUP)
         ]
         parts = [r.reshape(w.shape[:-2] + (r.shape[-3] * c, c)) for r in parts]
         w = np.concatenate([*parts, w[..., nb * block :, :]], axis=-2)
@@ -159,11 +167,15 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     2 n_max - 1 of ``_check_sweep_length``).
 
     Dense path: a zero-copy window view of the n x cols Hankel matrices.
-    Tall path ("all" columns, L - n_max + 1 >= 16 n_max rows): with
-    W = H_{n_max}^T = QR (R from the blocked reduction of ``_tall_r``),
-    H_n^T stacks W[:, :n] on the n_max - n trailing windows; Q has
-    orthonormal columns, so H_n shares its singular values with the
-    (2 n_max - n) x n matrix [R[:, :n]; trailing windows].
+    Tall path ("all" columns, rows = L - n_max + 1 >= 16 n_max, or
+    rows >= n_max >= 16): with W = H_{n_max}^T = QR (R from the blocked
+    reduction of ``_tall_r``), H_n^T stacks W[:, :n] on the n_max - n
+    trailing windows E_0..E_{n_max-n-1} (E_i starts at sample rows + i).
+    Q has orthonormal columns, R's rows from n on are zero in its first
+    n columns, and row order does not change singular values, so H_n
+    shares its singular values with the n_max x n zero-copy view
+    z[..., n - 1 : n - 1 + n_max, :n] of z = [E_{n_max-2}; ...; E_0; R],
+    built once: its rows are E_{n_max-n-1}..E_0 and R[:n].
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -181,10 +193,10 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     # padded[..., k] = y[..., k] for k < L and 0 beyond, so windows may run past the end
     padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
     ns = range(n_min, n_max + 1)
-    if columns == "all" and rows >= _TALL_ROWS_PER_COL * n_max:
-        r = _tall_r(_windows(y, n_max))
-        stacked = np.concatenate([r, _windows(padded, n_max)[..., rows : rows + n_max - 1, :]], axis=-2)
-        return [((n, size - n + 1), stacked[..., : 2 * n_max - n, :n]) for n in ns]
+    if columns == "all" and (rows >= _TALL_ROWS_PER_COL * n_max or rows >= n_max >= _TALL_N_MAX):
+        trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
+        z = np.concatenate([trailing[..., ::-1, :], _tall_r(_windows(y, n_max))], axis=-2)
+        return [((n, size - n + 1), z[..., n - 1 : n - 1 + n_max, :n]) for n in ns]
     windows = _windows(padded, size)  # windows[..., i, j] = y[..., i + j] while i + j < L
     cols = [n if columns == "square" else size - n + 1 for n in ns]
     return [((n, c), windows[..., :n, :c]) for n, c in zip(ns, cols)]
@@ -312,12 +324,15 @@ def hokalman_order(
     per-matrix relative threshold max(rows, cols) * eps.  A signal whose
     sweep could leave float range is swept as y 2^-e (``_scaled_rows``).
 
-    Long signals (``columns="all"`` and L - n_max + 1 >= 16 n_max)
-    factor H_{n_max}^T once, by a blocked tall-skinny QR (``_tall_r``),
-    and take each spectrum from a small (2 n_max - n) x n matrix with the
-    same singular values; everything else runs one dense SVD per n.
-    Both paths give the same ranks, but rounding-level ``gap`` and
-    ``condition`` values from the QR path can differ in the last bits.
+    ``columns="all"`` sweeps with L - n_max + 1 >= 16 n_max rows, or
+    with n_max >= 16 and L - n_max + 1 >= n_max, factor H_{n_max}^T once,
+    by a blocked tall-skinny QR (``_tall_r``), and take each spectrum
+    from a small n_max x n matrix with the same singular values;
+    everything else runs one dense SVD per n.  Both paths give the same
+    ranks on every tested input, though a singular value within rounding
+    of the cut can decide differently.  Past the rank, sigma_{r+1} and
+    sigma_min sit at the rounding floor, so ``gap`` and ``condition``
+    there differ between the paths by more than the last bits.
     """
     _check_sweep_length(len(signal), n_max)
     [sweep] = _rank_sweeps(signal.samples[None], n_max, columns, policy)

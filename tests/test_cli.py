@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from hankelorder import (
@@ -784,8 +784,10 @@ def _parsed(parser, argv: list[str]):
 def test_any_invocation_exits_zero_or_two_with_one_line(capfd):
     decided = Counter()  # exit codes of the rank and estimate draws
 
-    # derandomized, so every run of the suite tries the same 300 invocations
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    # a fixed seed, so every run of the suite tries the same 300 invocations
+    # whatever the test's source; no database, so no saved example replays
+    @seed(1901)
+    @settings(max_examples=300, deadline=None, database=None)
     @given(argv=_cli_argv(), signal=_SIGNAL_BYTES)
     @example(argv=["estimate", "{signal}", "--method=covdet", "--m-range=2:1000000000000"],
              signal=_signal_csv([1.0] * 40))

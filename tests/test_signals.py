@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from hankelorder import (
@@ -616,8 +616,10 @@ def _outcome(reader, path):
     return signal.samples.tobytes(), signal.provenance
 
 
-# derandomized, so every run of the suite tries the same files
-@settings(max_examples=400, deadline=None, derandomize=True)
+# a fixed seed, so every run of the suite tries the same files whatever
+# the test's source; no database, so no saved example replays
+@seed(1903)
+@settings(max_examples=400, deadline=None, database=None)
 @given(text=_signal_text())
 def test_reader_matches_the_reference_reader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("read") / "sig.csv"
