@@ -3,11 +3,11 @@ covariance-determinant baseline.
 
 The rank-sweep estimator computes the numerical rank of responses
 matrices of growing row count and declares the order once the sweep has
-plateaued.  By default each n-row matrix uses every available sample
-(columns = len - n + 1): in exact arithmetic its rank equals the square
-n x n rank, and the extra columns push small signal singular values well
-clear of the rounding floor.  Pass ``columns="square"`` for the literal
-n x n layout.
+plateaued.  Each n-row matrix of ``hokalman_order`` uses every available
+sample (columns = len - n + 1): in exact arithmetic its rank equals the
+square n x n rank, and the extra columns push small signal singular
+values well clear of the rounding floor.  The literal n x n layout
+("square") serves fig3 and ``rank --n``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ _PLATEAU_LEN = 3
 _COLLAPSE_RATIO = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     n: int
     rank: int
     decision_gap: float
@@ -156,15 +155,24 @@ def _tall_r(w: np.ndarray) -> np.ndarray:
     return np.linalg.qr(w, mode="r")
 
 
-def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2) -> list:
-    """(shape, matrices) for n = n_min..n_max of a (k, L) stack, after
-    checking the arguments: shape is that of the n-row sweep matrix, and
-    matrices holds, for each signal, a matrix with its singular values.
-    n_max must be >= 2, except for the one-point sweep n_min = n_max = 1.
-    "square" sweeps need L >= 2 n_max - 1; "all" sweeps need only
-    L >= n_max, so their n x (L - n + 1) matrices turn wide to tall past
-    n = (L + 1) / 2 (the plateau rule of ``hokalman_order`` needs the
-    2 n_max - 1 of ``_check_sweep_length``).
+def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2) -> tuple[list, np.ndarray]:
+    """(points, exponents) of the sweep n = n_min..n_max of a (k, L) stack,
+    after checking the arguments.  Each point is (shape, matrices): shape
+    is that of the n-row sweep matrix, and matrices holds, for each
+    signal, a matrix with its singular values.  n_max must be >= 2,
+    except for the one-point sweep n_min = n_max = 1.  "square" sweeps
+    need L >= 2 n_max - 1; "all" sweeps need only L >= n_max, so their
+    n x (L - n + 1) matrices turn wide to tall past n = (L + 1) / 2 (the
+    plateau rule of ``hokalman_order`` needs the 2 n_max - 1 of
+    ``_check_sweep_length``).
+
+    Scale: each row whose bound on every sweep sigma_1,
+    max|y| sqrt(n_max L), reaches float_max / 16 is swept as y 2^-e, e
+    the binary exponent of its max|y| (``math.frexp``); the (k,)
+    exponents are 0 for the rows swept as they are.  Past the bound no
+    SVD, QR or R factor can leave float range; the scale is exact, ranks,
+    gaps and conditions are ratios it does not change, and an absolute
+    cut is scaled with the row (``_decide_points``).
 
     Dense path: a zero-copy window view of the n x cols Hankel matrices.
     Tall path ("all" columns, rows = L - n_max + 1 >= 16 n_max, or
@@ -189,6 +197,12 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
         _check_sweep_length(size, n_max)
     elif size < n_max:
         raise ValueError(f"signal has {size} samples but a sweep to n = {n_max} requires at least {n_max}")
+    top = np.abs(y).max(axis=-1, initial=0.0)
+    # 16 leaves room for rounding
+    past = top >= sys.float_info.max / 16 / math.sqrt(n_max * size)
+    exponents = np.where(past, np.frexp(top)[1], 0)
+    if past.any():
+        y = np.ldexp(y, -exponents[..., None])
     rows = size - n_max + 1
     # padded[..., k] = y[..., k] for k < L and 0 beyond, so windows may run past the end
     padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
@@ -196,34 +210,18 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     if columns == "all" and (rows >= _TALL_ROWS_PER_COL * n_max or rows >= n_max >= _TALL_N_MAX):
         trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
         z = np.concatenate([trailing[..., ::-1, :], _tall_r(_windows(y, n_max))], axis=-2)
-        return [((n, size - n + 1), z[..., n - 1 : n - 1 + n_max, :n]) for n in ns]
+        return [((n, size - n + 1), z[..., n - 1 : n - 1 + n_max, :n]) for n in ns], exponents
     windows = _windows(padded, size)  # windows[..., i, j] = y[..., i + j] while i + j < L
     cols = [n if columns == "square" else size - n + 1 for n in ns]
-    return [((n, c), windows[..., :n, :c]) for n, c in zip(ns, cols)]
-
-
-def _scaled_rows(samples: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(y, e): the (k, L) stack with each row whose bound on every sweep
-    sigma_1, max|y| sqrt(n_max L), reaches float_max / 16 scaled by 2^-e,
-    e the binary exponent of its max|y| (``math.frexp``), and the (k,)
-    exponents (0 for the rows kept as they are).  Past the bound no SVD,
-    QR or R factor can leave float range; the scale is exact, ranks, gaps
-    and conditions are ratios it does not change, and an absolute cut is
-    scaled with the row (``_decide_points``)."""
-    y = np.asarray(samples, dtype=float)
-    top = np.abs(y).max(axis=-1, initial=0.0)
-    # 16 leaves room for rounding; _sweep_points rejects n_max L < 1
-    past = top >= sys.float_info.max / 16 / math.sqrt(max(n_max * y.shape[-1], 1))
-    exponents = np.where(past, np.frexp(top)[1], 0)
-    return (np.ldexp(y, -exponents[..., None]) if past.any() else y), exponents
+    return [((n, c), windows[..., :n, :c]) for n, c in zip(ns, cols)], exponents
 
 
 def _decide_points(points: list, policy: RankPolicy | None, exponents: np.ndarray):
     """(rank, gap, condition) arrays of shape (points, k): the decisions at
-    sweep points (shape, matrices) of k rows scaled by 2^-exponents
-    (``_scaled_rows``), one LAPACK SVD call per point for the whole stack
-    (each matrix gets bit for bit the singular values of a call on it
-    alone), then one ``_decide`` call on all spectra, zero-padded into a
+    the points of ``_sweep_points`` of k rows scaled by 2^-exponents, one
+    LAPACK SVD call per point for the whole stack (each matrix gets bit
+    for bit the singular values of a call on it alone), then one
+    ``_decide`` call on all spectra, zero-padded into a
     (points, k, m_max + 1) array.  ``policy`` None means the per-matrix
     default cut max(rows, cols) * eps."""
     lengths = [min(shape) for shape, _ in points]
@@ -245,12 +243,11 @@ def _sweep_table(
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
     """The decision table of the sweep over n = n_min..n_max of each row
     of a (k, L) stack of finite samples (k may be 0; rows past the bound
-    of ``_scaled_rows`` scaled), decided in one pass (``_decide_points``):
+    of ``_sweep_points`` scaled), decided in one pass (``_decide_points``):
     the n values, then the (points, k) rank, gap and condition arrays,
     whose column j is row j's sweep.  Arguments are checked by
     ``_sweep_points``."""
-    y, exponents = _scaled_rows(samples, n_max)
-    points = _sweep_points(y, n_max, columns, n_min)
+    points, exponents = _sweep_points(samples, n_max, columns, n_min)
     return [shape[0] for shape, _ in points], *_decide_points(points, policy, exponents)
 
 
@@ -265,9 +262,9 @@ def _rank_sweeps(
     ]
 
 
-def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None) -> list[int]:
-    """``plateau_onset`` of each row's sweep n = 2..n_max of a (k, L) stack,
-    without deciding every n of every row.
+def _plateau_onsets(samples: np.ndarray, n_max: int, policy: RankPolicy | None) -> list[int]:
+    """``plateau_onset`` of each row's "all" sweep n = 2..n_max of a
+    (k, L) stack, without deciding every n of every row.
 
     An onset is the first n of the trailing constant-rank run, so it
     depends only on the ranks from n_max down to the first change.  The
@@ -277,11 +274,10 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, columns: str, policy: RankP
     exceeds min(shape) of the next n's matrix leaves without an SVD
     there: a decision counts at most min(shape) singular values, so that
     rank cannot recur.  Each step is one stacked SVD of the live rows'
-    views of the full sweep of ``_scaled_rows`` (the dense or tall path
+    views of the full sweep of ``_sweep_points`` (the dense or tall path
     chosen by n_max, as in ``_rank_sweeps``), and every decision is the
     one ``_rank_sweeps`` makes, bit for bit."""
-    y, exponents = _scaled_rows(samples, n_max)
-    points = _sweep_points(y, n_max, columns)
+    points, exponents = _sweep_points(samples, n_max, "all")
     onsets = np.full(len(samples), n_max)
     live, final = np.arange(len(samples)), None
     for shape, matrices in reversed(points):
@@ -310,37 +306,34 @@ def _check_sweep_length(size: int, n_max: int) -> None:
 
 
 def hokalman_order(
-    signal: Signal,
-    n_max: int,
-    policy: RankPolicy | None = None,
-    *,
-    columns: str = "all",
+    signal: Signal, n_max: int, policy: RankPolicy | None = None
 ) -> tuple[OrderEstimate, RankSweep]:
-    """Rank sweep over n = 2..n_max with plateau-based order selection.
+    """Rank sweep over n = 2..n_max of the n x (L - n + 1) Hankel
+    matrices, with plateau-based order selection.
 
     The estimate is the final sweep value provided the last three ranks
     are all equal; otherwise the result is inconclusive and the full
     sweep is returned for inspection.  The default policy is the
     per-matrix relative threshold max(rows, cols) * eps.  A signal whose
-    sweep could leave float range is swept as y 2^-e (``_scaled_rows``).
+    sweep could leave float range is swept as y 2^-e (``_sweep_points``).
 
-    ``columns="all"`` sweeps with L - n_max + 1 >= 16 n_max rows, or
-    with n_max >= 16 and L - n_max + 1 >= n_max, factor H_{n_max}^T once,
-    by a blocked tall-skinny QR (``_tall_r``), and take each spectrum
-    from a small n_max x n matrix with the same singular values;
-    everything else runs one dense SVD per n.  Both paths give the same
-    ranks on every tested input, though a singular value within rounding
-    of the cut can decide differently.  Past the rank, sigma_{r+1} and
-    sigma_min sit at the rounding floor, so ``gap`` and ``condition``
-    there differ between the paths by more than the last bits.
+    Sweeps with L - n_max + 1 >= 16 n_max rows, or with n_max >= 16 and
+    L - n_max + 1 >= n_max, factor H_{n_max}^T once, by a blocked
+    tall-skinny QR (``_tall_r``), and take each spectrum from a small
+    n_max x n matrix with the same singular values; everything else runs
+    one dense SVD per n.  Both paths give the same ranks on every tested
+    input, though a singular value within rounding of the cut can decide
+    differently.  Past the rank, sigma_{r+1} and sigma_min sit at the
+    rounding floor, so ``gap`` and ``condition`` there differ between
+    the paths by more than the last bits.
     """
     _check_sweep_length(len(signal), n_max)
-    [sweep] = _rank_sweeps(signal.samples[None], n_max, columns, policy)
+    [sweep] = _rank_sweeps(signal.samples[None], n_max, "all", policy)
     ranks = sweep.ranks
     conclusive = len(ranks) >= _PLATEAU_LEN and len(set(ranks[-_PLATEAU_LEN:])) == 1
     diagnostics = {
         "plateau_len": _PLATEAU_LEN,
-        "columns": columns,
+        "columns": "all",
         "policy": (policy.describe() if policy is not None else "default(max(shape)*eps)"),
         "conclusive": conclusive,
     }
@@ -503,7 +496,7 @@ def covdet_order(report: CovDetReport) -> OrderEstimate:
 
 def _sweep_section(name: str | None, sweep: RankSweep) -> tuple:
     """The CSV section (name, header, rows) of a sweep's points."""
-    return name, "n,rank,gap,condition", [(p.n, p.rank, p.decision_gap, p.condition) for p in sweep.points]
+    return name, "n,rank,gap,condition", sweep.points
 
 
 def write_sweep_csv(sweep: RankSweep, path: str | Path) -> Path:

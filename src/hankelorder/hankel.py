@@ -78,13 +78,6 @@ def build_rectangular_hankel(signal: Signal, rows: int, cols: int) -> ResponsesM
 
 def build_hankel(signal: Signal, n: int) -> ResponsesMatrix:
     """Square n x n responses matrix; needs 2n - 1 samples."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(signal) < 2 * n - 1:
-        raise ValueError(
-            f"signal has {len(signal)} samples but an {n}x{n} Hankel "
-            f"matrix requires 2n - 1 = {2 * n - 1}"
-        )
     return build_rectangular_hankel(signal, n, n)
 
 

@@ -486,10 +486,11 @@ def read_signal_csv(path: str | Path) -> Signal:
     loaded.  Comment lines starting with ``#`` are skipped.  Every data
     row must hold one number per header field, the ``n`` column must run
     0..L-1 and the loaded value must be finite; a bad row raises
-    ValueError naming the file and line.
+    ValueError naming the file and line.  A leading UTF-8 byte order mark,
+    as spreadsheet "CSV UTF-8" exports write, is skipped.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()

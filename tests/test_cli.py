@@ -34,6 +34,7 @@ from hankelorder import (
 )
 from hankelorder import cli, experiments
 from hankelorder.cli import ESTIMATE_METHODS, GENERATE_FAMILIES, _make_parser, main
+from hankelorder.estimators import _rank_sweeps
 
 
 def _y5_csv(tmp_path, count=40):
@@ -114,6 +115,20 @@ class TestRank:
         assert code == 0
         assert capsys.readouterr().out.strip() == "order=5"
         assert out.read_text().splitlines()[0] == "n,rank,gap,condition"
+
+    @pytest.mark.parametrize("comment", ["", "# exported\n"])
+    def test_csv_with_a_byte_order_mark_reads_as_without_it(self, tmp_path, capsys, comment):
+        text = comment + _y5_csv(tmp_path).read_text(encoding="utf-8")
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            src = tmp_path / "in.csv"
+            src.write_text(prefix + text, encoding="utf-8")
+            out = tmp_path / "sweep.csv"
+            assert main(["rank", str(src), "--n-max", "8", "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr(), out.read_bytes()))
+        assert src.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0] == ("order=5\n", "")
 
     def test_short_file_error_names_required_count(self, tmp_path, capsys):
         src = write_signal_csv(Signal(np.array([1.0, 2.0, 3.0])), tmp_path / "s.csv")
@@ -222,7 +237,7 @@ class TestRank:
         src = _y5_csv(tmp_path)
         single = tmp_path / "single.csv"
         assert main(flags + ["rank", str(src), "--n", "7", "--out", str(single)]) == 0
-        _, sweep = hokalman_order(gen_y5(40), 7, policy, columns="square")
+        [sweep] = _rank_sweeps(gen_y5(40).samples[None], 7, "square", policy)
         header, *_, last = write_sweep_csv(sweep, tmp_path / "sweep.csv").read_text().splitlines()
         assert single.read_text().splitlines() == [header, last]
 

@@ -82,12 +82,9 @@ class TestHokalmanOrder:
             hokalman_order(_first_order(count=10), 10)
 
     def test_square_columns_mode(self):
-        # the square y5 sweep resolves the fifth mode only at n = 8, so
-        # the plateau rule reports inconclusive
-        est, sweep = hokalman_order(gen_y5(40), 8, columns="square")
+        # the square y5 sweep resolves the fifth mode only at n = 8
+        [sweep] = estimators._rank_sweeps(gen_y5(40).samples[None], 8, "square", None)
         assert sweep.ranks == [2, 3, 4, 4, 4, 4, 5]
-        assert est.order is None
-        assert not est.conclusive
 
     def test_plateau_needs_three_equal_final_ranks(self):
         est, sweep = hokalman_order(_first_order(), 4)
@@ -161,10 +158,10 @@ def _force_dense(m) -> None:
     m.setattr(estimators, "_TALL_N_MAX", 10**9)
 
 
-def _dense_sweep(signal, n_max, policy, monkeypatch, **kwargs):
+def _dense_sweep(signal, n_max, policy, monkeypatch):
     with monkeypatch.context() as m:
         _force_dense(m)
-        return hokalman_order(signal, n_max, policy, **kwargs)[1]
+        return hokalman_order(signal, n_max, policy)[1]
 
 
 class TestTallSweep:
@@ -175,7 +172,8 @@ class TestTallSweep:
         y, count = signal.samples, len(signal)
         assert _is_tall(count, n_max)
         hankels = {n: sliding_window_view(y, count - n + 1) for n in range(2, n_max + 1)}
-        for (n, _), small in estimators._sweep_points(y, n_max, "all"):
+        points, _ = estimators._sweep_points(y, n_max, "all")
+        for (n, _), small in points:
             dense = np.linalg.svd(hankels[n], compute_uv=False)
             tall = np.linalg.svd(small, compute_uv=False)
             assert np.max(np.abs(tall - dense)) <= 1e-13 * dense[0], n
@@ -236,9 +234,11 @@ class TestTallSweep:
         assert sweep.ranks == _dense_sweep(Signal(y), 10, None, monkeypatch).ranks == list(range(2, 11))
 
     def test_square_columns_stay_dense(self, monkeypatch):
-        signal = gen_y5(2000)
-        _, sweep = hokalman_order(signal, 12, columns="square")
-        assert sweep.points == _dense_sweep(signal, 12, None, monkeypatch, columns="square").points
+        y = gen_y5(2000).samples[None]
+        [sweep] = estimators._rank_sweeps(y, 12, "square", None)
+        with monkeypatch.context() as m:
+            _force_dense(m)
+            assert sweep.points == estimators._rank_sweeps(y, 12, "square", None)[0].points
 
     @pytest.mark.parametrize("blocks, extra", [(1, 0), (3, 0), (3, 1), (16, 5), (17, 0), (300, 7)])
     def test_blocked_r_matches_one_qr(self, blocks, extra):
@@ -333,7 +333,7 @@ class TestTallSweep:
     def test_tall_matrices_are_views_of_one_array(self, count, n_max):
         y = np.array([gen_y5(count).samples, add_noise(gen_y5(count), NoiseSpec(1e-6, 1)).samples])
         assert _is_tall(count, n_max)
-        points = estimators._sweep_points(y, n_max, "all")
+        points, _ = estimators._sweep_points(y, n_max, "all")
         z = points[0][1].base
         assert z.shape == (2, 2 * n_max - 1, n_max) and z.flags.owndata
         for (n, cols), matrix in points:
@@ -353,7 +353,10 @@ class TestStackedSweeps:
         sweeps = estimators._rank_sweeps(stack, 8, columns, policy)
         assert len(sweeps) == len(STACK_SIGNALS)
         for signal, sweep in zip(STACK_SIGNALS, sweeps):
-            _, alone = hokalman_order(signal, 8, policy, columns=columns)
+            if columns == "all":
+                _, alone = hokalman_order(signal, 8, policy)
+            else:
+                [alone] = estimators._rank_sweeps(signal.samples[None], 8, "square", policy)
             assert sweep.points == alone.points
             # and each point is the decision on that one matrix's own SVD
             for p in alone.points:
@@ -384,10 +387,9 @@ class TestStackedSweeps:
             estimators._rank_sweeps(y, 11, "all", None)
         with pytest.raises(ValueError, match=r"signal has 10 samples but a sweep to n = 6 requires 2n - 1 = 11"):
             estimators._rank_sweeps(y, 6, "square", None)
-        # the plateau rule needs every n x n matrix, whatever the layout
-        for columns in ("all", "square"):
-            with pytest.raises(ValueError, match=r"requires 2n - 1 = 11"):
-                hokalman_order(gen_y5(10), 6, columns=columns)
+        # the plateau rule needs every n x n matrix
+        with pytest.raises(ValueError, match=r"requires 2n - 1 = 11"):
+            hokalman_order(gen_y5(10), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,7 @@ def _per_n_sweeps(samples, n_max, columns, policy, n_min):
         exponents.append(math.frexp(top)[1] if top * math.sqrt(n_max * y.size) >= sys.float_info.max / 16 else 0)
     scaled = np.array([np.ldexp(y, -e) for y, e in zip(samples, exponents)]).reshape(samples.shape)
     points = [[] for _ in range(len(samples))]
-    for shape, matrices in estimators._sweep_points(scaled, n_max, columns, n_min):
+    for shape, matrices in estimators._sweep_points(scaled, n_max, columns, n_min)[0]:
         spectra = np.linalg.svd(matrices, compute_uv=False)
         cut = policy or default_policy(shape)
         values = [math.ldexp(cut.value, -e) if cut.kind == "absolute_threshold" else cut.value for e in exponents]
@@ -562,40 +564,39 @@ _ONSET_KINDS = ("noise", "modes", "near_cut", "zero", "constant", "spike") * 3 +
 
 @st.composite
 def _onset_inputs(draw):
-    columns = draw(st.sampled_from(["all", "square"]))
     n_max = draw(st.integers(2, 20))
     # "all" sweeps take the tall path from L - n_max + 1 = 16 n_max on, or from n_max on when n_max >= 16
     crossover = _first_tall_length(n_max)
     size = draw(st.integers(1, 40) | st.integers(crossover - 2, crossover + 2))
     kinds = [draw(st.sampled_from(_ONSET_KINDS)) for _ in range(draw(st.integers(0, 4)))]
     samples = np.array([_onset_signal(kind, size, draw(st.integers(0, 2**32 - 1))) for kind in kinds]).reshape(-1, size)
-    return samples, n_max, columns, draw(_SWEEP_POLICIES)
+    return samples, n_max, draw(_SWEEP_POLICIES)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_onset_inputs())
-@example((np.array([gen_y5(40).samples, np.full(40, 2.0)]), 2, "all", None))  # one step
-@example((np.array([np.full(135, 2.0), np.zeros(135), gen_y5(135).samples]), 8, "all", None))  # tall, down to n = 2
-@example((np.array([_BETWEEN_CUTS[:40], gen_y5(40).samples]), 10, "square", RankPolicy.gap()))
-@example((np.array([gen_y5(40).samples]), 1, "all", None))  # n_max below 2
-@example((np.array([gen_y5(40).samples, np.full(40, 1.7976931348623157e308)]), 10, "all", None))
+@example((np.array([gen_y5(40).samples, np.full(40, 2.0)]), 2, None))  # one step
+@example((np.array([np.full(135, 2.0), np.zeros(135), gen_y5(135).samples]), 8, None))  # tall, down to n = 2
+@example((np.array([_BETWEEN_CUTS[:40], gen_y5(40).samples]), 10, RankPolicy.gap()))
+@example((np.array([gen_y5(40).samples]), 1, None))  # n_max below 2
+@example((np.array([gen_y5(40).samples, np.full(40, 1.7976931348623157e308)]), 10, None))
 # unscaled, finite at n = 19 and 18, where the rank changes, but past float range at n = 4..17
-@example((np.array([2.2e307 * (1.0 + 1e-3 * np.sin(np.arange(20.0)))]), 19, "all", None))
+@example((np.array([2.2e307 * (1.0 + 1e-3 * np.sin(np.arange(20.0)))]), 19, None))
 # "all" sweeps past n = (L + 1) / 2, where min(shape) grows as n falls
-@example((np.random.default_rng(5).uniform(-1.0, 1.0, (3, 12)), 10, "all", None))
-@example((np.array([gen_y5(15).samples, np.full(15, 2.0), np.zeros(15)]), 12, "all", None))
-@example((np.array([_BETWEEN_CUTS[:14], np.random.default_rng(6).uniform(-1.0, 1.0, 14)]), 13, "all", RankPolicy.gap()))
+@example((np.random.default_rng(5).uniform(-1.0, 1.0, (3, 12)), 10, None))
+@example((np.array([gen_y5(15).samples, np.full(15, 2.0), np.zeros(15)]), 12, None))
+@example((np.array([_BETWEEN_CUTS[:14], np.random.default_rng(6).uniform(-1.0, 1.0, 14)]), 13, RankPolicy.gap()))
 def test_plateau_onsets_equal_the_onsets_of_full_sweeps(inputs):
-    samples, n_max, columns, policy = inputs
+    samples, n_max, policy = inputs
     try:
-        want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, columns, policy)]
+        want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, "all", policy)]
     except ValueError as exc:
         # bad arguments: the text the whole stack's sweep raises
         with pytest.raises(ValueError) as got:
-            estimators._plateau_onsets(samples, n_max, columns, policy)
+            estimators._plateau_onsets(samples, n_max, policy)
         assert str(got.value) == str(exc)
         return
-    onsets = estimators._plateau_onsets(samples, n_max, columns, policy)
+    onsets = estimators._plateau_onsets(samples, n_max, policy)
     assert onsets == want
     assert all(type(onset) is int for onset in onsets)
 
@@ -613,7 +614,7 @@ def test_plateau_onsets_decide_only_down_to_the_first_rank_change(monkeypatch):
     # takes, though a sweep to n = 2 alone would take the tall path.  The
     # y5 rows leave at n = 4 without an SVD: 4 values cannot hold rank 5.
     samples = np.array([gen_y5(40).samples, np.full(40, 2.0), gen_y5(40).samples])
-    assert estimators._plateau_onsets(samples, 8, "all", None) == [5, 2, 5]
+    assert estimators._plateau_onsets(samples, 8, None) == [5, 2, 5]
     assert matrices == [(3, n, 41 - n) for n in range(8, 4, -1)] + [(1, n, 41 - n) for n in (4, 3, 2)]
 
 
@@ -628,7 +629,7 @@ def test_full_rank_rows_are_decided_at_n_max_only(monkeypatch, size):
     samples = np.random.default_rng(3).uniform(-1.0, 1.0, (5, size))
     want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, 10, "all", None)]
     monkeypatch.setattr(np.linalg, "svd", counting)
-    assert estimators._plateau_onsets(samples, 10, "all", None) == want == [10] * 5
+    assert estimators._plateau_onsets(samples, 10, None) == want == [10] * 5
     # one SVD of the 5 matrices at n = 10 (the tall path's QR calls come before it)
     [(k, rows, cols)] = calls
     assert k == 5 and min(rows, cols) == 10
@@ -687,8 +688,8 @@ def test_sweeps_past_the_bound_read_the_ranks_and_onsets_of_the_unscaled_stack(i
     assert all(float(np.abs(y).max()) * math.sqrt(n_max * size) >= sys.float_info.max / 16 for y in big if y.any())
     want = [sweep.ranks for sweep in estimators._rank_sweeps(samples, n_max, columns, policy)]
     assert [sweep.ranks for sweep in estimators._rank_sweeps(big, n_max, columns, scaled_policy)] == want
-    onsets = estimators._plateau_onsets(samples, n_max, columns, policy)
-    assert estimators._plateau_onsets(big, n_max, columns, scaled_policy) == onsets
+    onsets = estimators._plateau_onsets(samples, n_max, policy)
+    assert estimators._plateau_onsets(big, n_max, scaled_policy) == onsets
 
 
 class TestOverflowingData:
@@ -720,7 +721,7 @@ class TestPlateauOnset:
         assert plateau_onset(sweep) == 5  # ranks [2,3,4,5,5,5,5]
 
     def test_lone_final_value(self):
-        _, sweep = hokalman_order(gen_y5(40), 8, columns="square")
+        [sweep] = estimators._rank_sweeps(gen_y5(40).samples[None], 8, "square", None)
         assert plateau_onset(sweep) == 8  # ranks [...,4,4,5]
 
     def test_empty_sweep_is_rejected(self):

@@ -68,3 +68,28 @@ def test_every_workload_name_resolves():
     importlib.import_module("hankelorder.cli")  # cli_mix loads it before calling hk.cli.main
     for name in names:
         assert hasattr(package, name), f"hankelorder.{name}"
+
+
+def test_result_shapes_the_benchmark_reads(tmp_path):
+    """The attributes and types that bench/workloads.py and bench/tracer.py
+    take off results, beyond the names above."""
+    hk = importlib.import_module("hankelorder")
+    signal = hk.gen_y5(40)
+    estimate, sweep = hk.hokalman_order(signal, 8)
+    # long_sweep checks (order, sweep.ranks) against (order, list) with tuple(out) != tuple(want)
+    assert type(sweep.ranks) is list and all(type(r) is int for r in sweep.ranks)
+    assert tuple((estimate.order, sweep.ranks)) == (5, [2, 3, 4, 5, 5, 5, 5])
+    assert len(sweep.points) == 7
+    mat = hk.build_hankel(signal, 6)
+    assert mat.entries.nbytes == 6 * 6 * 8
+    spectrum = hk.singular_values(mat.entries)
+    assert sorted(spectrum.source_shape, reverse=True) == [6, 6]
+    assert type(hk.numerical_rank(spectrum, hk.default_policy(mat.shape)).rank) is int
+    summary = hk.run_experiment(hk.ExperimentSpec("sec33_nonhomogeneous"), tmp_path / "sec33.csv")
+    assert isinstance(summary.headline, str) and summary.output_path.stat().st_size > 0
+    for path in (
+        hk.write_sweep_csv(sweep, tmp_path / "sweep.csv"),
+        hk.write_aic_csv(hk.aic_order(signal, 6)[1], tmp_path / "aic.csv"),
+        hk.write_covdet_csv(hk.covariance_determinants(signal, range(2, 5)), tmp_path / "covdet.csv"),
+    ):
+        assert isinstance(path, Path) and path.is_file()
