@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -89,17 +89,12 @@ class RankSweep:
         return [p.rank for p in self.points]
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
+class OrderEstimate(NamedTuple):
     """A selected order (None when inconclusive) plus method diagnostics."""
 
     order: int | None
     method: str
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.order is not None and self.order < 0:
-            raise ValueError("a conclusive order must be >= 0")
+    diagnostics: dict
 
     @property
     def conclusive(self) -> bool:
@@ -111,20 +106,17 @@ def _order_str(estimate: OrderEstimate) -> str:
     return f"order={estimate.order if estimate.conclusive else 'inconclusive'}"
 
 
-@dataclass(frozen=True)
-class AicReport:
-    per_order: tuple[tuple[int, float, float], ...]  # (p, rss, aic_value)
+class AicReport(NamedTuple):
+    """Every order's (p, rss, aic) row and the argmin, ties to the smaller p."""
+
+    per_order: tuple[tuple[int, float, float], ...]
     selected: int
 
-    def __post_init__(self) -> None:
-        best = min(self.per_order, key=lambda row: (row[2], row[0]))
-        if best[0] != self.selected:
-            raise ValueError("selected order must be the AIC argmin (ties to smaller p)")
 
+class CovDetReport(NamedTuple):
+    """Every order's (m, det) row."""
 
-@dataclass(frozen=True)
-class CovDetReport:
-    per_order: tuple[tuple[int, float], ...]  # (m, det)
+    per_order: tuple[tuple[int, float], ...]
 
 
 def _tall_r(w: np.ndarray) -> np.ndarray:

@@ -17,11 +17,8 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-# Not used here: bench/tracer.py wraps experiments.mpmath.svd_r, and a test
-# checks that name resolves, until the benchmark drops that entry.
-import mpmath  # noqa: F401
 import numpy as np
 
 from . import __version__
@@ -56,8 +53,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.name!r}; registered: {known}")
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(NamedTuple):
+    """What ``run_experiment`` wrote: the experiment, its headline and its CSV."""
+
     name: str
     headline: str
     output_path: Path
@@ -67,6 +65,16 @@ class ExperimentSummary:
 
 
 Section = tuple[str, str, Sequence[tuple]]  # (section name, column header, data rows)
+
+
+def __getattr__(name: str):
+    # bench/tracer.py wraps experiments.mpmath.svd_r, so the name resolves,
+    # importing mpmath on first read; this hook goes when the tracer drops that entry
+    if name == "mpmath":
+        import mpmath
+
+        return mpmath
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +349,7 @@ def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
     return headline, [("comparison", "n,svd_rank,echelon_rank", rows)]
 
 
-@dataclass(frozen=True)
-class _Experiment:
+class _Experiment(NamedTuple):
     name: str
     description: str
     defaults: dict
@@ -350,72 +357,67 @@ class _Experiment:
     runner: Callable[[dict, int], tuple[str, list[Section]]]
 
 
-_REGISTRY: dict[str, _Experiment] = {}
-
-
-def _register(exp: _Experiment) -> None:
-    _REGISTRY[exp.name] = exp
-
-
-_register(_Experiment(
-    "fig2_first_order",
-    "Rank sweep of a noise-free first-order exponential response (fig2 dataset; rank stays 1)",
-    {"b": 1.0, "q": 0.5, "count": 40, "n_max": 10},
-    20,
-    _run_fig2,
-))
-_register(_Experiment(
-    "fig3_pole_proximity",
-    "Rank grid over matrix size and pole proximity q (dp = 2^-q), noise-free and at two noise amplitudes (fig3 dataset)",
-    {
-        "p": 10.0, "count": 40, "q_min": 1, "q_max": 16, "n_min": 2, "n_max": 8,
-        "noise_rel_small": 1e-6, "noise_rel_large": 1e-5, "q_scan_max": 60,
-    },
-    30,
-    _run_fig3,
-))
-_register(_Experiment(
-    "fig1_table1_y5",
-    "Five-mode benchmark: rank sweep, AIC report and covariance determinants (fig1/table1 dataset)",
-    {"count": 40, "n_max": 8, "p_max": 10, "m_min": 2, "m_max": 8},
-    10,
-    _run_fig1_table1,
-))
-_register(_Experiment(
-    "fig4_high_order_sin",
-    "Rank sweep for a 50-term sinusoidal superposition (fig4 dataset)",
-    {"n0": 50, "m": 1, "count": 119, "n_max": 60},
-    40,
-    _run_fig4,
-))
-_register(_Experiment(
-    "fig5_high_order_exp",
-    "Rank sweep for a 50-term exponential superposition with an extended-precision condition log (fig5 dataset)",
-    {"n0": 50, "m": 1, "count": 119, "n_max": 60, "cond_n_max": 10, "cond_dps": 50},
-    50,
-    _run_fig5,
-))
-_register(_Experiment(
-    "sec33_nonhomogeneous",
-    "Forced first-order system: square rank plus bottom/right input-augmented ranks (sec33 dataset; all 2)",
-    {"count": 40, "n": 10, "sample_period": 1.0},
-    0,
-    _run_sec33,
-))
-_register(_Experiment(
-    "offset_effect",
-    "Noisy first-order sweeps with and without a unit offset, comparing plateau onsets (offset study)",
-    {"q": 0.5, "count": 40, "offset": 1.0, "snr_db": 40.0, "trials": 50, "n_max": 10},
-    80,
-    _run_offset,
-))
-_register(_Experiment(
-    "echelon_effect",
-    "Noisy sweep comparing SVD-policy rank against row-echelon pivot count (echelon study)",
-    {"q": 0.5, "count": 40, "snr_db": 40.0, "echelon_tol": 1e-6, "n_max": 10},
-    90,
-    _run_echelon,
-))
+_REGISTRY: dict[str, _Experiment] = {exp.name: exp for exp in (
+    _Experiment(
+        "fig2_first_order",
+        "Rank sweep of a noise-free first-order exponential response (fig2 dataset; rank stays 1)",
+        {"b": 1.0, "q": 0.5, "count": 40, "n_max": 10},
+        20,
+        _run_fig2,
+    ),
+    _Experiment(
+        "fig3_pole_proximity",
+        "Rank grid over matrix size and pole proximity q (dp = 2^-q), noise-free and at two noise amplitudes (fig3 dataset)",
+        {
+            "p": 10.0, "count": 40, "q_min": 1, "q_max": 16, "n_min": 2, "n_max": 8,
+            "noise_rel_small": 1e-6, "noise_rel_large": 1e-5, "q_scan_max": 60,
+        },
+        30,
+        _run_fig3,
+    ),
+    _Experiment(
+        "fig1_table1_y5",
+        "Five-mode benchmark: rank sweep, AIC report and covariance determinants (fig1/table1 dataset)",
+        {"count": 40, "n_max": 8, "p_max": 10, "m_min": 2, "m_max": 8},
+        10,
+        _run_fig1_table1,
+    ),
+    _Experiment(
+        "fig4_high_order_sin",
+        "Rank sweep for a 50-term sinusoidal superposition (fig4 dataset)",
+        {"n0": 50, "m": 1, "count": 119, "n_max": 60},
+        40,
+        _run_fig4,
+    ),
+    _Experiment(
+        "fig5_high_order_exp",
+        "Rank sweep for a 50-term exponential superposition with an extended-precision condition log (fig5 dataset)",
+        {"n0": 50, "m": 1, "count": 119, "n_max": 60, "cond_n_max": 10, "cond_dps": 50},
+        50,
+        _run_fig5,
+    ),
+    _Experiment(
+        "sec33_nonhomogeneous",
+        "Forced first-order system: square rank plus bottom/right input-augmented ranks (sec33 dataset; all 2)",
+        {"count": 40, "n": 10, "sample_period": 1.0},
+        0,
+        _run_sec33,
+    ),
+    _Experiment(
+        "offset_effect",
+        "Noisy first-order sweeps with and without a unit offset, comparing plateau onsets (offset study)",
+        {"q": 0.5, "count": 40, "offset": 1.0, "snr_db": 40.0, "trials": 50, "n_max": 10},
+        80,
+        _run_offset,
+    ),
+    _Experiment(
+        "echelon_effect",
+        "Noisy sweep comparing SVD-policy rank against row-echelon pivot count (echelon study)",
+        {"q": 0.5, "count": 40, "snr_db": 40.0, "echelon_tol": 1e-6, "n_max": 10},
+        90,
+        _run_echelon,
+    ),
+)}
 
 
 def list_experiments() -> list[tuple[str, str, dict]]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,18 +109,13 @@ class RankPolicy:
         return f"{self.kind}({self.value:.17g})"
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     """A rank decision with the spectrum and decision gap that produced it."""
 
     rank: int
     policy: RankPolicy
     spectrum: SingularSpectrum
     decision_gap: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.rank <= len(self.spectrum)):
-            raise ValueError("rank must lie in [0, min(rows, cols)]")
 
 
 def default_policy(shape: tuple[int, int]) -> RankPolicy:

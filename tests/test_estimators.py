@@ -28,6 +28,7 @@ from hankelorder import (
     RankPolicy,
     RankSweep,
     Signal,
+    SweepPoint,
     add_noise,
     add_offset,
     aic_order,
@@ -724,9 +725,19 @@ class TestPlateauOnset:
         [sweep] = estimators._rank_sweeps(gen_y5(40).samples[None], 8, "square", None)
         assert plateau_onset(sweep) == 8  # ranks [...,4,4,5]
 
-    def test_empty_sweep_is_rejected(self):
-        with pytest.raises(ValueError, match="sweep is empty"):
-            plateau_onset(RankSweep(()))
+    @pytest.mark.parametrize(
+        "ns, ranks, message",
+        [
+            ((), (), "sweep is empty"),
+            ((2, 3, 3), (1, 1, 1), "strictly increasing n"),
+            ((2, 3, 4), (1, 4, 1), "rank cannot exceed n"),
+        ],
+        ids=["empty", "n_not_increasing", "rank_above_n"],
+    )
+    def test_malformed_sweeps_are_rejected(self, ns, ranks, message):
+        points = tuple(SweepPoint(n, r, math.inf, math.inf) for n, r in zip(ns, ranks))
+        with pytest.raises(ValueError, match=message):
+            plateau_onset(RankSweep(points))
 
 
 class TestAicOrder:
@@ -757,10 +768,18 @@ class TestAicOrder:
         values = [a for _, _, a in report.per_order]
         assert report.selected == int(np.argmin(values)) + 1
 
-    def test_tie_breaks_toward_smaller_p(self):
-        AicReport(((1, 1.0, 5.0), (2, 1.0, 5.0)), 1)
-        with pytest.raises(ValueError):
-            AicReport(((1, 1.0, 5.0), (2, 1.0, 5.0)), 2)
+    def test_tie_breaks_toward_smaller_p(self, monkeypatch):
+        # K = 10: aic(1) = 10 ln(rss_1 / 10) + 2 equals aic(2) = 10 ln(1 / 10) + 4
+        # where rss_1 = e^0.2; one float within an ulp of it ties bit for bit
+        def aic(p, rss):
+            return 10 * math.log(rss / 10) + 2.0 * p
+
+        near = (math.nextafter(math.exp(0.2), 0.0), math.exp(0.2), math.nextafter(math.exp(0.2), 3.0))
+        rss_1 = next(v for v in near if aic(1, v) == aic(2, 1.0))
+        monkeypatch.setattr(estimators, "_ar_residuals", lambda y, p_max: (np.eye(3), [rss_1, 1.0]))
+        est, report = aic_order(Signal(np.linspace(1.0, 2.0, 12)), 2)
+        assert report.per_order[0][2] == report.per_order[1][2]
+        assert est.order == report.selected == 1
 
     def test_insufficient_samples(self):
         with pytest.raises(ValueError):

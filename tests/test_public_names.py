@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,36 @@ def test_result_shapes_the_benchmark_reads(tmp_path):
         hk.write_covdet_csv(hk.covariance_determinants(signal, range(2, 5)), tmp_path / "covdet.csv"),
     ):
         assert isinstance(path, Path) and path.is_file()
+
+
+_LAZY_MPMATH = """
+import sys
+import hankelorder.cli as cli
+from hankelorder import experiments
+
+out = sys.argv[1]
+assert cli.main(["experiment", "fig5_high_order_exp", "--out", f"{out}/fig5.csv"]) == 0
+assert cli.main(["generate", "y5", "--count", "40", "--out", f"{out}/y5.csv"]) == 0
+assert cli.main(["rank", f"{out}/y5.csv", "--n-max", "8", "--out", f"{out}/sweep.csv"]) == 0
+assert "mpmath" not in sys.modules, "running the CLI imported mpmath"
+assert callable(experiments.mpmath.svd_r)
+try:
+    experiments.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("experiments.no_such_name resolved")
+"""
+
+
+def test_mpmath_is_imported_only_when_read(tmp_path):
+    """In a fresh interpreter (a test's monkeypatch of experiments.mpmath
+    leaves the name bound): the CLI runs fig5 and a rank sweep without
+    importing mpmath, experiments.mpmath.svd_r then resolves for the
+    tracer, and other unknown names still raise AttributeError."""
+    src = str(Path(importlib.import_module("hankelorder").__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _LAZY_MPMATH, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
