@@ -166,11 +166,23 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     gaps and conditions are ratios it does not change, and an absolute
     cut is scaled with the row (``_decide_points``).
 
-    Dense path: a zero-copy window view of the n x cols Hankel matrices.
-    Tall path ("all" columns, rows = L - n_max + 1 >= 16 n_max, or
-    rows >= n_max >= 16): with W = H_{n_max}^T = QR (R from the blocked
-    reduction of ``_tall_r``), H_n^T stacks W[:, :n] on the n_max - n
-    trailing windows E_0..E_{n_max-n-1} (E_i starts at sample rows + i).
+    Tail ("all" sweeps): K is the smallest index >= n_max at which every
+    row has n_max sum_{j >= K} (y_j / top)^2 <= u^2, top = max|y| of the
+    row, u = eps / 2.  When K + n_max - 1 < L the sweep runs on y[:K] and
+    n_max - 1 zeros, whose matrices are those of y with y[K:] = 0 up to
+    zero rows and columns; shapes stay the full ones.  Each sample appears
+    at most n_max times in H_n, and sigma_1(H_n) >= top, so by Weyl
+    (Golub & Van Loan, 4th ed., Cor. 8.6.2) no singular value moves by
+    more than u sigma_1, below the backward error of the QR or SVD that
+    follows (Higham, 2nd ed., Thm. 19.4).  A row whose last sample alone
+    fails the test (every noisy row) keeps the stack whole at O(k) cost.
+
+    Below, L is the swept length.  Dense path: a zero-copy window view of
+    the n x cols Hankel matrices.  Tall path ("all" columns,
+    rows = L - n_max + 1 >= 16 n_max, or rows >= n_max >= 16): with
+    W = H_{n_max}^T = QR (R from the blocked reduction of ``_tall_r``),
+    H_n^T stacks W[:, :n] on the n_max - n trailing windows
+    E_0..E_{n_max-n-1} (E_i starts at sample rows + i).
     Q has orthonormal columns, R's rows from n on are zero in its first
     n columns, and row order does not change singular values, so H_n
     shares its singular values with the n_max x n zero-copy view
@@ -193,19 +205,30 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     # 16 leaves room for rounding
     past = top >= sys.float_info.max / 16 / math.sqrt(n_max * size)
     exponents = np.where(past, np.frexp(top)[1], 0)
+    # the tail test on the last sample alone, which fails in every noisy row
+    if columns == "all" and not (np.abs(y[..., -1]) > EPS / 2 / math.sqrt(n_max) * top).any():
+        unit = np.where(top > 0.0, top, 1.0)[..., None]
+        # tails[m]: n_max times the largest row sum of the last m + 1 squares, summed in place
+        tails = np.square(y[..., ::-1] / unit).reshape(-1, size)
+        tails = np.cumsum(tails, axis=-1, out=tails).max(axis=0, initial=0.0) * n_max
+        kept = max(n_max, size - int(np.searchsorted(tails, (EPS / 2) ** 2, side="right")))
+        if kept + n_max - 1 < size:
+            y = np.concatenate([y[..., :kept], np.zeros(y.shape[:-1] + (n_max - 1,))], axis=-1)
     if past.any():
         y = np.ldexp(y, -exponents[..., None])
-    rows = size - n_max + 1
-    # padded[..., k] = y[..., k] for k < L and 0 beyond, so windows may run past the end
+    length = y.shape[-1]
+    rows = length - n_max + 1
+    # padded[..., k] = y[..., k] for k < length and 0 beyond, so windows may run past the end
     padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
     ns = range(n_min, n_max + 1)
     if columns == "all" and (rows >= _TALL_ROWS_PER_COL * n_max or rows >= n_max >= _TALL_N_MAX):
         trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
         z = np.concatenate([trailing[..., ::-1, :], _tall_r(_windows(y, n_max))], axis=-2)
         return [((n, size - n + 1), z[..., n - 1 : n - 1 + n_max, :n]) for n in ns], exponents
-    windows = _windows(padded, size)  # windows[..., i, j] = y[..., i + j] while i + j < L
-    cols = [n if columns == "square" else size - n + 1 for n in ns]
-    return [((n, c), windows[..., :n, :c]) for n, c in zip(ns, cols)], exponents
+    windows = _windows(padded, length)  # windows[..., i, j] = y[..., i + j] while i + j < length
+    if columns == "square":
+        return [((n, n), windows[..., :n, :n]) for n in ns], exponents
+    return [((n, size - n + 1), windows[..., :n, : length - n + 1]) for n in ns], exponents
 
 
 def _decide_points(points: list, policy: RankPolicy | None, exponents: np.ndarray):
@@ -318,6 +341,11 @@ def hokalman_order(
     differently.  Past the rank, sigma_{r+1} and sigma_min sit at the
     rounding floor, so ``gap`` and ``condition`` there differ between
     the paths by more than the last bits.
+
+    A decaying tail below one rounding unit of sigma_1 is not factored
+    (``_sweep_points``): a clean ``gen_y5`` sweep to n_max = 20 factors
+    2,802 rows at any longer L.  There, too, ``gap`` and ``condition``
+    past the rank read the rounding floor, that of the kept head.
     """
     _check_sweep_length(len(signal), n_max)
     [sweep] = _rank_sweeps(signal.samples[None], n_max, "all", policy)

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import event, example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hankelorder import estimators
 from hankelorder import (
+    EPS,
     condition_number,
     default_policy,
     exact_rank_rational,
@@ -256,7 +257,8 @@ class TestTallSweep:
         assert np.all(np.abs(got - want) <= 1e-13 * want[:, :1])
 
     def test_multilevel_reduction_factors_at_most_one_group_per_call(self, monkeypatch):
-        n_max, signal = 8, gen_y5(200_000)
+        # noisy, so that no tail is negligible and all 199,993 rows are factored
+        n_max, signal = 8, add_noise(gen_y5(200_000), NoiseSpec(1e-6, 0))
         block = estimators._TSQR_ROWS_PER_COL * n_max
         qr, calls = np.linalg.qr, []
 
@@ -266,7 +268,7 @@ class TestTallSweep:
 
         monkeypatch.setattr(np.linalg, "qr", recording)
         _, sweep = hokalman_order(signal, n_max)
-        assert sweep.ranks == [2, 3, 4, 4, 5, 5, 5]
+        assert sweep.ranks == _dense_ranks(signal.samples, n_max)
         assert all(math.prod(shape[:-1]) <= estimators._TSQR_GROUP * block for shape in calls)
         # 199,993 rows = 1562 blocks of 128 (98 calls) + 57; then 12,553 rows
         # = 98 blocks (7 calls) + 9; then 793 rows = 6 blocks (1 call) + 25;
@@ -298,8 +300,9 @@ class TestTallSweep:
         assert [sw.points for sw in sweeps] == [hokalman_order(s, 20)[1].points for s in signals]
 
     def test_long_sweep_never_copies_the_whole_window_matrix(self):
-        # H_20^T of 2e5 samples holds 30.5 MiB; one QR of it copies all of it
-        signal = gen_y5(200_000)
+        # H_20^T of 2e5 samples holds 30.5 MiB; one QR of it copies all of it.
+        # Noisy, so that the sweep factors every sample
+        signal = add_noise(gen_y5(200_000), NoiseSpec(1e-6, 0))
         tracemalloc.start()
         try:
             hokalman_order(signal, 20)
@@ -339,6 +342,176 @@ class TestTallSweep:
         assert z.shape == (2, 2 * n_max - 1, n_max) and z.flags.owndata
         for (n, cols), matrix in points:
             assert matrix.base is z and matrix.shape == (2, n_max, n) and cols == count - n + 1
+
+
+# ---------------------------------------------------------------------------
+# negligible tails: "all" sweeps factor only the head that can move a singular value
+
+
+def _swept_lengths(monkeypatch) -> list:
+    """Record (L, swept length) for each sweep of the kernel.  Both of its
+    paths window the swept samples padded with n_max zeros, the longest
+    array a sweep windows, so the swept length is that array's length
+    less n_max: L, unless a negligible tail was cut."""
+    sweep_points, windows, records = estimators._sweep_points, estimators._windows, []
+
+    def recording(samples, n_max, *args):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_windows", lambda x, width: seen.append(x.shape[-1]) or windows(x, width))
+            points = sweep_points(samples, n_max, *args)
+        records.append((np.shape(samples)[-1], max(seen) - n_max))
+        return points
+
+    monkeypatch.setattr(estimators, "_sweep_points", recording)
+    return records
+
+
+def _dense_ranks(y: np.ndarray, n_max: int) -> list[int]:
+    return [int(np.linalg.matrix_rank(sliding_window_view(y, len(y) - n + 1))) for n in range(2, n_max + 1)]
+
+
+@st.composite
+def _decaying_inputs(draw):
+    """A sum of 1-4 decaying real or oscillating modes, L up to 3,000 and
+    n_max 2..24: the head of fast decays sweeps dense, of slow ones tall."""
+    n_max = draw(st.integers(2, 24))
+    size = draw(st.integers(1000, 3000) | st.integers(2 * n_max - 1, 999))
+    modes = [
+        Mode(
+            draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0)),
+            draw(st.floats(0.02, 1.0)),
+            draw(st.just(0.0) | st.floats(0.1, 3.0)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return gen_mode_sum(ModeSum(modes), size), n_max
+
+
+class TestNegligibleTail:
+    @pytest.mark.parametrize("count", [20_000, 200_000])
+    def test_clean_y5_factors_2802_rows(self, count, monkeypatch):
+        tall_r, rows = estimators._tall_r, []
+        monkeypatch.setattr(estimators, "_tall_r", lambda w: rows.append(w.shape[-2]) or tall_r(w))
+        signal = gen_y5(count)
+        _, sweep = hokalman_order(signal, 20)
+        assert rows == [2802]
+        if count == 20_000:
+            assert sweep.ranks == _dense_ranks(signal.samples, 20)
+
+    def test_clean_y5_at_2e5_keeps_the_rank_the_default_cut_reads(self):
+        # sigma_5 falls under the cut max(shape) eps sigma_1 of the full 5 x (L - 4) matrix
+        _, sweep = hokalman_order(gen_y5(200_000), 8)
+        assert sweep.ranks == [2, 3, 4, 4, 5, 5, 5]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_decaying_inputs())
+    @example((gen_mode_sum(ModeSum([Mode(1.0, 1.0), Mode(-1.5, 0.7, 2.0)]), 3000), 6))  # dense head
+    @example((gen_mode_sum(ModeSum([Mode(1.0, 0.02), Mode(0.5, 0.1, 1.0)]), 3000), 8))  # tall head
+    def test_truncated_sweeps_keep_the_spectra_and_ranks_of_the_full_matrices(self, inputs):
+        signal, n_max = inputs
+        y, size = signal.samples, len(signal)
+        with pytest.MonkeyPatch.context() as m:
+            records = _swept_lengths(m)
+            points, _ = estimators._sweep_points(y, n_max, "all")
+        [(_, swept)] = records
+        event(("cut, " if swept < size else "kept, ") + ("tall" if _is_tall(swept, n_max) else "dense"))
+        _, sweep = hokalman_order(signal, n_max)
+        for ((n, cols), matrix), point in zip(points, sweep.points):
+            assert cols == size - n + 1
+            full = np.linalg.svd(sliding_window_view(y, cols), compute_uv=False)
+            # the tall path's tolerance, plus what the cut tail can move
+            tol = (1e-13 + EPS / 2) * full[0]
+            assert np.all(np.abs(np.linalg.svd(matrix, compute_uv=False) - full) <= tol), n
+            cut = max(n, cols) * EPS * full[0]
+            if np.all(np.abs(full - cut) > tol):
+                assert point.rank == np.count_nonzero(full > cut), n
+
+    def test_a_stack_truncates_where_every_row_qualifies(self, monkeypatch):
+        clean = [gen_y5(20_000), gen_mode_sum(ModeSum([Mode(1.0, 0.05), Mode(-2.0, 0.3, 1.0)]), 20_000)]
+        alone = [hokalman_order(s, 20)[1].ranks for s in clean]
+        records = _swept_lengths(monkeypatch)
+        sweeps = estimators._rank_sweeps(np.array([s.samples for s in clean]), 20, "all", None)
+        # y5's head is the longer: 2,802 samples and 19 zeros
+        assert records == [(20_000, 2821)]
+        assert [sw.ranks for sw in sweeps] == alone
+
+    def test_one_noisy_row_keeps_the_whole_stack(self, monkeypatch):
+        clean, noisy = gen_y5(20_000), add_noise(gen_y5(20_000), NoiseSpec(1e-6, 0))
+        stack = np.array([clean.samples, noisy.samples])
+        want = [hokalman_order(clean, 20)[1].ranks, hokalman_order(noisy, 20)[1].points]
+        records = _swept_lengths(monkeypatch)
+        tall_r, factored = estimators._tall_r, []
+        monkeypatch.setattr(estimators, "_tall_r", lambda w: factored.append(w) or tall_r(w))
+        sweeps = estimators._rank_sweeps(stack, 20, "all", None)
+        # every sample is factored, as without the rule, so every bit is as without it
+        assert records == [(20_000, 20_000)]
+        [w] = factored
+        assert np.array_equal(w, sliding_window_view(stack, 20, axis=-1))
+        assert [sweeps[0].ranks, sweeps[1].points] == want
+
+    def test_rows_past_the_sweep_bound_truncate_as_unscaled(self, monkeypatch):
+        y = gen_y5(20_000).samples
+        big = np.ldexp(y, 1026)  # 8.9e307, swept as y 2^3
+        records = _swept_lengths(monkeypatch)
+        _, sweep = hokalman_order(Signal(big), 20)
+        assert sweep.points == hokalman_order(Signal(y), 20)[1].points
+        assert records == [(20_000, 2821)] * 2
+
+    def test_tiny_rows_are_measured_in_units_of_their_maximum(self, monkeypatch):
+        # y^2 underflows to 0 from the first sample on; (y / max|y|)^2 does not
+        y = gen_y5(20_000).samples
+        records = _swept_lengths(monkeypatch)
+        _, sweep = hokalman_order(Signal(np.ldexp(y, -993)), 20)  # max|y| 1.9e-300
+        assert sweep.ranks == hokalman_order(Signal(y), 20)[1].ranks
+        first_order = 1e-300 * 0.5 ** np.arange(2000.0)
+        assert hokalman_order(Signal(first_order), 8)[1].ranks == [1] * 7
+        assert records == [(20_000, 2821)] * 2 + [(2000, 62)]
+
+    def test_all_zero_row_reads_the_decisions_of_the_full_matrices(self, monkeypatch):
+        records = _swept_lengths(monkeypatch)
+        _, sweep = hokalman_order(Signal(np.zeros(2000)), 8)
+        assert records == [(2000, 15)]  # any K qualifies, so K = n_max
+        for p in sweep.points:
+            spectrum = singular_values(np.zeros((p.n, 2001 - p.n)))
+            res = numerical_rank(spectrum, default_policy((p.n, 2001 - p.n)))
+            assert (p.rank, p.decision_gap, p.condition) == (res.rank, res.decision_gap, condition_number(spectrum))
+
+    @pytest.mark.parametrize("count, swept", [(109, 109), (110, 109), (5000, 109)])
+    def test_exactly_zero_tail_is_cut_once_it_spares_a_sample(self, count, swept, monkeypatch):
+        # K = 100, and the head swept with its 9 zeros spans 109 samples
+        y = np.zeros(count)
+        y[:100] = np.random.default_rng(4).standard_normal(100)
+        records = _swept_lengths(monkeypatch)
+        _, sweep = hokalman_order(Signal(y), 10)
+        assert records == [(count, swept)]
+        assert sweep.ranks == _dense_ranks(y, 10) == list(range(2, 11))
+
+    def test_paper_sized_square_and_noisy_sweeps_factor_every_sample(self, tmp_path, monkeypatch):
+        records = _swept_lengths(monkeypatch)
+        for name, _, _ in list_experiments():
+            run_experiment(ExperimentSpec(name), tmp_path / f"{name}.csv")
+        # square sweeps of signals whose "all" sweeps are cut
+        for y in (gen_y5(20_000).samples, np.zeros(2000), np.r_[1.0, np.zeros(1999)]):
+            for n_min in (2, 20):
+                estimators._rank_sweeps(y[None], 20, "square", None, n_min)
+        for count, n_max in [(40, 8), (2000, 20), (20_000, 20)]:
+            for amplitude in (1e-10, 1e-6, 1e-3):
+                hokalman_order(add_noise(gen_y5(count), NoiseSpec(amplitude, count)), n_max)
+        # signals as the CLI benchmark draws them: two real and one oscillating mode
+        for seed in range(1, 21):
+            rng = np.random.default_rng(seed)
+            for count, n_maxes in [(40, (8,)), (119, (8, 20))]:
+                modes = [
+                    Mode(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5), rng.uniform(0.02, 0.3), w)
+                    for w in (0.0, 0.0, rng.uniform(0.2, 1.0))
+                ]
+                signal = gen_mode_sum(ModeSum(modes), count)
+                for n_max in n_maxes:
+                    hokalman_order(signal, n_max)
+                estimators._rank_sweeps(signal.samples[None], 6, "square", None, 6)
+        assert len(records) > 100
+        assert all(swept == count for count, swept in records)
 
 
 STACK_SIGNALS = [gen_y5(40), add_offset(gen_y5(40), 1.0)] + [
