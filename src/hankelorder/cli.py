@@ -58,9 +58,7 @@ def _build_policy(args) -> RankPolicy | None:
         if tol is None:
             raise ValueError("--policy absolute requires --tol")
         return RankPolicy.absolute(tol)
-    if name == "gap":
-        return RankPolicy.gap(tol) if tol is not None else RankPolicy.gap()
-    raise ValueError(f"unknown policy {name!r}")
+    return RankPolicy.gap(tol) if tol is not None else RankPolicy.gap()
 
 
 # argparse names the type function in the message for its ValueError, so
@@ -263,13 +261,10 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_estimate(args, policy)
         if args.command == "experiment":
             return _cmd_experiment(args, extras)
-        if args.command == "list":
-            return _cmd_list()
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_list()
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

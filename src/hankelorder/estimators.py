@@ -193,8 +193,6 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
         raise ValueError("n_min must be >= 1")
     if n_max < min(n_min, 2):
         raise ValueError(f"n_max must be >= {min(n_min, 2)}")
-    if columns not in ("all", "square"):
-        raise ValueError("columns must be 'all' or 'square'")
     y = np.ascontiguousarray(samples, dtype=float)
     size = y.shape[-1]
     if columns == "square":
@@ -208,10 +206,15 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     # the tail test on the last sample alone, which fails in every noisy row
     if columns == "all" and not (np.abs(y[..., -1]) > EPS / 2 / math.sqrt(n_max) * top).any():
         unit = np.where(top > 0.0, top, 1.0)[..., None]
-        # tails[m]: n_max times the largest row sum of the last m + 1 squares, summed in place
-        tails = np.square(y[..., ::-1] / unit).reshape(-1, size)
+        # a sample of at most 2^-511 top (or 0, where that underflows) adds at most 2^-1020 to its
+        # row's tail sum, so y[..., end:], which holds only such samples, is not summed
+        floor, end = np.ldexp(unit, -511), size
+        if not (np.abs(y[..., -1:]) > floor).any():
+            end -= int(np.argmax((np.abs(y[..., ::-1]) > floor).reshape(-1, size).any(axis=0)))
+        # tails[m]: n_max times the largest row sum of the last m + 1 squares before end, summed in place
+        tails = np.square(y[..., end - 1 :: -1] / unit).reshape(-1, end)
         tails = np.cumsum(tails, axis=-1, out=tails).max(axis=0, initial=0.0) * n_max
-        kept = max(n_max, size - int(np.searchsorted(tails, (EPS / 2) ** 2, side="right")))
+        kept = max(n_max, end - int(np.searchsorted(tails, (EPS / 2) ** 2, side="right")))
         if kept + n_max - 1 < size:
             y = np.concatenate([y[..., :kept], np.zeros(y.shape[:-1] + (n_max - 1,))], axis=-1)
     if past.any():
@@ -353,7 +356,6 @@ def hokalman_order(
     conclusive = len(ranks) >= _PLATEAU_LEN and len(set(ranks[-_PLATEAU_LEN:])) == 1
     diagnostics = {
         "plateau_len": _PLATEAU_LEN,
-        "columns": "all",
         "policy": (policy.describe() if policy is not None else "default(max(shape)*eps)"),
         "conclusive": conclusive,
     }
@@ -372,14 +374,6 @@ def plateau_onset(sweep: RankSweep) -> int:
     while i > 0 and ranks[i - 1] == final:
         i -= 1
     return sweep.points[i].n
-
-
-def _lag_matrix(y: np.ndarray, width: int, start: int) -> np.ndarray:
-    """The (len(y) - start) x width matrix with rows (y[n], y[n-1], ...,
-    y[n-width+1]) for n = start..len-1, copied C-contiguous from a reversed
-    window view: ``@`` on that negative-stride view skips BLAS and sums in
-    another order."""
-    return np.ascontiguousarray(_windows(y[start - width + 1 :], width)[:, ::-1])
 
 
 def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:
@@ -483,7 +477,8 @@ def covariance_determinants(signal: Signal, m_range: Iterable[int]) -> CovDetRep
     rows_out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for m in ms:
-            lags = _lag_matrix(signal.samples, m + 1, m)
+            # rows (y[n], ..., y[n-m]), copied C-contiguous: ``@`` on the reversed view skips BLAS and sums in another order
+            lags = np.ascontiguousarray(_windows(signal.samples, m + 1)[:, ::-1])
             cov = lags.T @ lags / len(lags)
             det = float(np.linalg.det(cov)) if np.isfinite(cov).all() else math.nan
             if not math.isfinite(det):

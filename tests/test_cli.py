@@ -316,12 +316,19 @@ class TestExperiment:
             ("offset_effect", "--trials", "-1", "trials must be >= 0"),
             ("fig3_pole_proximity", "--noise-rel-small", "-1e-6", "noise_rel_small must be >= 0"),
             ("fig3_pole_proximity", "--noise-rel-large", "-5", "noise_rel_large must be >= 0"),
+            ("fig3_pole_proximity", "--n-min", "0", "n_min must be >= 1"),
         ],
     )
     def test_out_of_range_override_exits_two(self, tmp_path, capsys, name, flag, value, message):
         out = tmp_path / "x.csv"
         assert main(["experiment", name, flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_override_without_a_value_exits_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "fig2_first_order", "--out", str(out), "--n-max"]) == 2
+        assert capsys.readouterr().err == "error: cannot parse experiment override '--n-max'; use --key value\n"
         assert not out.exists()
 
     def test_fig5_with_too_few_digits_exits_two_with_one_line(self, tmp_path, capsys):
@@ -595,6 +602,21 @@ class TestListAndHelp:
         with pytest.raises(SystemExit) as err:
             main(["--policy", "psychic", "list"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_missing_or_unknown_command_exits_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines()[-1].startswith(f"hankelorder: error: {message}")
 
 
 class TestOneParserPerProcess:

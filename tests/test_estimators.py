@@ -367,6 +367,19 @@ def _swept_lengths(monkeypatch) -> list:
     return records
 
 
+def _full_sum_swept(stack: np.ndarray, n_max: int) -> int:
+    """The length a stack's "all" sweep windows by the tail rule with every
+    sample's square summed: K is the smallest index >= n_max at which
+    every row has n_max sum_{j >= K} (y_j / max|y|)^2 <= u^2, and the
+    head is swept with n_max - 1 zeros where that is shorter than L."""
+    size = stack.shape[-1]
+    top = np.abs(stack).max(axis=-1, keepdims=True)
+    # tails[..., m]: n_max times the row's sum of its last m + 1 squares
+    tails = n_max * np.cumsum(np.square(stack / np.where(top > 0.0, top, 1.0))[..., ::-1], axis=-1)
+    kept = max(n_max, size - int(np.count_nonzero((tails <= (EPS / 2) ** 2).all(axis=0))))
+    return min(kept + n_max - 1, size)
+
+
 def _dense_ranks(y: np.ndarray, n_max: int) -> list[int]:
     return [int(np.linalg.matrix_rank(sliding_window_view(y, len(y) - n + 1))) for n in range(2, n_max + 1)]
 
@@ -426,6 +439,29 @@ class TestNegligibleTail:
             cut = max(n, cols) * EPS * full[0]
             if np.all(np.abs(full - cut) > tol):
                 assert point.rank == np.count_nonzero(full > cut), n
+
+    def test_clean_y5_at_2e5_cuts_where_the_full_sum_does(self, monkeypatch):
+        # the squares of its normalised samples underflow from about sample 25,000, and the samples are 0 from 52,006
+        y = gen_y5(200_000).samples
+        records = _swept_lengths(monkeypatch)
+        hokalman_order(Signal(y), 20)
+        assert records == [(200_000, _full_sum_swept(y[None], 20))] == [(200_000, 2802 + 19)]
+
+    def test_a_stack_ending_in_zeros_and_subnormal_squares_cuts_where_the_full_sum_does(self, monkeypatch):
+        k = np.arange(3000.0)
+        stack = np.array([
+            0.5**k,  # exactly 0 from sample 1,075
+            0.8**k,  # normalised squares subnormal from sample 1,588, 0 from 1,670
+            np.exp(-0.2 * k) * np.cos(k),  # the slowest: its samples fall under 2^-511 near 1,770
+            np.ldexp(0.8**k, -900),  # subnormal samples from about 380, exactly 0 from 544
+        ])
+        # no row's last sample exceeds 2^-511 max|y| (0 in the last row), so the trailing such samples are not summed
+        assert (np.abs(stack[:, -1]) <= np.ldexp(np.abs(stack).max(axis=1), -511)).all()
+        records = _swept_lengths(monkeypatch)
+        sweeps = estimators._rank_sweeps(stack, 20, "all", None)
+        assert records == [(3000, _full_sum_swept(stack, 20))]
+        assert records[0][1] < 3000
+        assert [sw.ranks for sw in sweeps] == [_dense_ranks(y, 20) for y in stack]
 
     def test_a_stack_truncates_where_every_row_qualifies(self, monkeypatch):
         clean = [gen_y5(20_000), gen_mode_sum(ModeSum([Mode(1.0, 0.05), Mode(-2.0, 0.3, 1.0)]), 20_000)]
@@ -1082,6 +1118,10 @@ class TestCovarianceDeterminants:
     def test_insufficient_samples(self):
         with pytest.raises(ValueError):
             covariance_determinants(gen_y5(8), range(2, 9))
+
+    def test_no_orders_rejected(self):
+        with pytest.raises(ValueError, match=r"^m_range must be non-empty$"):
+            covariance_determinants(gen_y5(40), [])
 
 
 class TestCovdetOrder:

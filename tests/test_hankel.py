@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,21 @@ class TestAugmented:
             build_augmented(y2, short_u, 10, BOTTOM)
         with pytest.raises(ValueError):
             build_augmented(y2, Signal(np.ones(40)), 10, "diagonal")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_rectangular_hankel(_sig([1, 2, 3]), 0, 3), "rows and cols must be >= 1"),
+        (lambda: build_augmented(*gen_nonhomogeneous(10), 0), "n must be >= 1"),
+        (lambda: rational_hankel([Fraction(1)] * 4, 3, 3), "need rows + cols - 1 = 5 samples, have 4"),
+        (lambda: row_echelon(np.ones(3)), "matrix must be 2-D"),
+    ],
+    ids=["hankel_zero_rows", "augmented_zero_n", "rational_too_few_samples", "echelon_1d"],
+)
+def test_malformed_arguments_are_rejected_with_one_line(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call()
 
 
 RATIO_POOL = [Fraction(k, 8) for k in range(1, 9)]

@@ -59,6 +59,11 @@ class TestSingularValues:
         with pytest.raises(ValueError):
             singular_values(np.array([[1.0, math.inf]]))
 
+    @pytest.mark.parametrize("matrix", [np.ones(3), np.empty((0, 3))], ids=["1-D", "empty"])
+    def test_matrix_must_be_2d_and_non_empty(self, matrix):
+        with pytest.raises(ValueError, match=r"^matrix must be 2-D and non-empty$"):
+            singular_values(matrix)
+
     def test_shape_recorded(self):
         spec = singular_values(np.ones((2, 5)))
         assert spec.source_shape == (2, 5)
@@ -83,6 +88,12 @@ class TestRankPolicyValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             RankPolicy("magic", 0.5)
+
+    @pytest.mark.parametrize("make", [RankPolicy.absolute, RankPolicy.gap])
+    def test_infinite_value_rejected(self, make):
+        # inf passes the range checks of both kinds
+        with pytest.raises(ValueError, match=r"^policy value must be finite$"):
+            make(math.inf)
 
 
 class TestNumericalRank:
@@ -157,6 +168,19 @@ class TestExactRankRational:
 
     def test_rectangular(self):
         assert exact_rank_rational([[1, 2, 3], [2, 4, 6]]) == 1
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1, 2], [3]], "matrix rows must have equal length"),
+            ([], "matrix must be non-empty"),
+            ([[], []], "matrix must be non-empty"),
+        ],
+        ids=["ragged", "no_rows", "empty_rows"],
+    )
+    def test_malformed_matrix_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            exact_rank_rational(matrix)
 
 
 @settings(max_examples=80, deadline=None)

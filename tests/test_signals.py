@@ -58,6 +58,17 @@ class TestModeSum:
         with pytest.raises(ValueError):
             Mode(math.inf, 0.1)
 
+    def test_tuples_build_the_modes_they_list(self):
+        spec = ModeSum([(2.0, 0.5, 1.0), (1.0, 0.3)])
+        assert spec == ModeSum([Mode(1.0, 0.3), Mode(2.0, 0.5, 1.0)])
+        assert spec.true_order == 3
+
+    @pytest.mark.parametrize("modes", [[], [Mode(1.0, 0.3), Mode(-1.0, 0.3)]], ids=["no_modes", "cancelled"])
+    def test_empty_sum_reads_zero(self, modes):
+        spec = ModeSum(modes)
+        assert spec.modes == () and spec.true_order == 0
+        assert spec.description == "0"
+
 
 class TestGenModeSum:
     def test_geometric_sequence_is_exact(self):
@@ -74,6 +85,11 @@ class TestGenModeSum:
         # 0.5 + (0.5 + 2**-3) at n = 0
         sig = gen_mode_sum(pole_pair_modes(p=10.0, q=3), 3)
         assert sig.samples[0] == 1.125
+
+    @pytest.mark.parametrize("p", [0.0, -10.0])
+    def test_non_positive_pole_rejected(self, p):
+        with pytest.raises(ValueError, match=r"^p must be > 0$"):
+            pole_pair_modes(p)
 
     def test_pole_spacing_past_float_range_rejected(self):
         # 2^1023 is the largest power of two in float range
@@ -332,6 +348,13 @@ class TestOffset:
         assert base.true_order == 2
         assert add_offset(base, 1.0).true_order == 2
 
+    def test_offset_of_a_signal_without_modes_knows_no_order(self, tmp_path):
+        loaded = read_signal_csv(write_signal_csv(gen_y5(10), tmp_path / "y5.csv"))
+        assert loaded.modes is None and loaded.true_order is None
+        shifted = add_offset(loaded, 1.5)
+        assert shifted.modes is None and shifted.true_order is None
+        assert np.array_equal(shifted.samples, loaded.samples + 1.5)
+
 
 class TestRationalModeSum:
     def test_geometric_is_exact(self):
@@ -401,6 +424,20 @@ class TestCsv:
         path.write_text("n,y,u\n0,1.0,0.5\n1,2.0,\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"pair\.csv:3: .*expected 3 numeric fields"):
             read_signal_csv(path)
+
+    def test_row_only_float_parses_is_unreadable(self, tmp_path):
+        # float("1_0") is 10.0, so no row reads as bad, but numpy's parser rejects the digit separator
+        path = tmp_path / "sep.csv"
+        path.write_text("n,value\n0,1_0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable signal data$"):
+            read_signal_csv(path)
+
+    def test_pair_of_unequal_lengths_rejected(self, tmp_path):
+        y, u = gen_nonhomogeneous(5)
+        path = tmp_path / "pair.csv"
+        with pytest.raises(ValueError, match=r"^paired signals must have equal lengths$"):
+            write_pair_csv(y, Signal(u.samples[:4]), path)
+        assert not path.exists()
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
