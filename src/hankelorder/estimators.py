@@ -206,15 +206,10 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     # the tail test on the last sample alone, which fails in every noisy row
     if columns == "all" and not (np.abs(y[..., -1]) > EPS / 2 / math.sqrt(n_max) * top).any():
         unit = np.where(top > 0.0, top, 1.0)[..., None]
-        # a sample of at most 2^-511 top (or 0, where that underflows) adds at most 2^-1020 to its
-        # row's tail sum, so y[..., end:], which holds only such samples, is not summed
-        floor, end = np.ldexp(unit, -511), size
-        if not (np.abs(y[..., -1:]) > floor).any():
-            end -= int(np.argmax((np.abs(y[..., ::-1]) > floor).reshape(-1, size).any(axis=0)))
-        # tails[m]: n_max times the largest row sum of the last m + 1 squares before end, summed in place
-        tails = np.square(y[..., end - 1 :: -1] / unit).reshape(-1, end)
+        # tails[m]: n_max times the largest row sum of the last m + 1 squares, summed in place
+        tails = np.square(y[..., ::-1] / unit).reshape(-1, size)
         tails = np.cumsum(tails, axis=-1, out=tails).max(axis=0, initial=0.0) * n_max
-        kept = max(n_max, end - int(np.searchsorted(tails, (EPS / 2) ** 2, side="right")))
+        kept = max(n_max, size - int(np.searchsorted(tails, (EPS / 2) ** 2, side="right")))
         if kept + n_max - 1 < size:
             y = np.concatenate([y[..., :kept], np.zeros(y.shape[:-1] + (n_max - 1,))], axis=-1)
     if past.any():

