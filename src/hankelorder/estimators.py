@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -31,7 +30,6 @@ __all__ = [
     "AicReport",
     "CovDetReport",
     "hokalman_order",
-    "plateau_onset",
     "aic_order",
     "covariance_determinants",
     "covdet_order",
@@ -71,18 +69,10 @@ class SweepPoint(NamedTuple):
     condition: float
 
 
-@dataclass(frozen=True)
-class RankSweep:
+class RankSweep(NamedTuple):
     """Rank estimates as a function of the matrix row count n."""
 
     points: tuple[SweepPoint, ...]
-
-    def __post_init__(self) -> None:
-        ns = [p.n for p in self.points]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("sweep points must have strictly increasing n")
-        if any(p.rank > p.n for p in self.points):
-            raise ValueError("rank cannot exceed n")
 
     @property
     def ranks(self) -> list[int]:
@@ -276,7 +266,7 @@ def _rank_sweeps(
 
 
 def _plateau_onsets(samples: np.ndarray, n_max: int, policy: RankPolicy | None) -> list[int]:
-    """``plateau_onset`` of each row's "all" sweep n = 2..n_max of a
+    """The plateau onset of each row's "all" sweep n = 2..n_max of a
     (k, L) stack, without deciding every n of every row.
 
     An onset is the first n of the trailing constant-rank run, so it
@@ -352,23 +342,9 @@ def hokalman_order(
     diagnostics = {
         "plateau_len": _PLATEAU_LEN,
         "policy": (policy.describe() if policy is not None else "default(max(shape)*eps)"),
-        "conclusive": conclusive,
     }
     order = ranks[-1] if conclusive else None
     return OrderEstimate(order, METHOD_HOKALMAN, diagnostics), sweep
-
-
-def plateau_onset(sweep: RankSweep) -> int:
-    """First n of the trailing constant-rank run (n_max if the last point
-    stands alone).  An empty sweep raises ValueError."""
-    ranks = sweep.ranks
-    if not ranks:
-        raise ValueError("plateau_onset needs a sweep with at least one point; this sweep is empty")
-    final = ranks[-1]
-    i = len(ranks)
-    while i > 0 and ranks[i - 1] == final:
-        i -= 1
-    return sweep.points[i].n
 
 
 def aic_order(signal: Signal, p_max: int) -> tuple[OrderEstimate, AicReport]:

@@ -223,7 +223,6 @@ def gen_y5(count: int) -> Signal:
     The k = 3 and k = 6 terms have sin(2*pi*k/3) = 0 exactly and are
     dropped at construction, leaving 5 distinct exponential modes.
     """
-    _validate_grid(count)
     half_sqrt3 = math.sqrt(3.0) / 2.0
     modes = []
     for k in range(1, 8):
@@ -285,7 +284,6 @@ def gen_nonhomogeneous(count: int, sample_period: float = 1.0) -> tuple[Signal, 
     A = 1/(0.9 - 1/8); the excitation is u[n] = exp(-n*T/8).  The output
     consists of exactly two exponential modes (one pole, one zero).
     """
-    _validate_grid(count, sample_period)
     amp = 1.0 / (0.9 - 0.125)
     y_modes = ModeSum([Mode(amp, 0.125), Mode(-amp, 0.9)])
     u_modes = ModeSum([Mode(1.0, 0.125)])
@@ -533,7 +531,7 @@ def _bad_row(path: Path, data: Iterable[tuple[int, str]], header: list[str]) -> 
     (one per header field) with a finite loaded value."""
     for index, (lineno, text) in enumerate(data):
         try:
-            numbers = list(map(float, text.split(",")))
+            numbers = np.loadtxt([text], delimiter=",", comments=None, ndmin=1).tolist()
         except ValueError:
             numbers = []
         if len(numbers) != len(header) or numbers[0] != index or not math.isfinite(numbers[1]):

@@ -33,13 +33,12 @@ from hankelorder import (
     hokalman_order,
     list_experiments,
     numerical_rank,
-    plateau_onset,
     rational_hankel,
     rational_mode_sum,
     run_experiment,
     singular_values,
 )
-from test_experiments import parse_sections
+from test_experiments import parse_sections, reference_onset
 
 
 def _report(criterion: str, detail: str = "") -> None:
@@ -175,7 +174,7 @@ def test_criterion_08_offset_property():
         noise = NoiseSpec(amp, seed=9000 + seed)
         _, sweep_plain = hokalman_order(add_noise(base, noise), 10)
         _, sweep_off = hokalman_order(add_noise(shifted, noise), 10)
-        favourable += plateau_onset(sweep_off) <= plateau_onset(sweep_plain)
+        favourable += reference_onset(sweep_off) <= reference_onset(sweep_plain)
     assert favourable > 25
     _report("8 offset property", f"onset favourable {favourable}/50")
 

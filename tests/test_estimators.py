@@ -27,9 +27,7 @@ from hankelorder import (
     ModeSum,
     NoiseSpec,
     RankPolicy,
-    RankSweep,
     Signal,
-    SweepPoint,
     add_noise,
     add_offset,
     aic_order,
@@ -40,12 +38,12 @@ from hankelorder import (
     gen_y5,
     hokalman_order,
     list_experiments,
-    plateau_onset,
     run_experiment,
     write_aic_csv,
     write_covdet_csv,
     write_sweep_csv,
 )
+from test_experiments import reference_onset
 
 
 def _first_order(count=40, q=0.5, b=1.0) -> Signal:
@@ -777,7 +775,7 @@ def _onset_inputs(draw):
 def test_plateau_onsets_equal_the_onsets_of_full_sweeps(inputs):
     samples, n_max, policy = inputs
     try:
-        want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, "all", policy)]
+        want = [reference_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, "all", policy)]
     except ValueError as exc:
         # bad arguments: the text the whole stack's sweep raises
         with pytest.raises(ValueError) as got:
@@ -815,7 +813,7 @@ def test_full_rank_rows_are_decided_at_n_max_only(monkeypatch, size):
         return svd(a, *args, **kwargs)
 
     samples = np.random.default_rng(3).uniform(-1.0, 1.0, (5, size))
-    want = [plateau_onset(sweep) for sweep in estimators._rank_sweeps(samples, 10, "all", None)]
+    want = [reference_onset(sweep) for sweep in estimators._rank_sweeps(samples, 10, "all", None)]
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert estimators._plateau_onsets(samples, 10, None) == want == [10] * 5
     # one SVD of the 5 matrices at n = 10 (the tall path's QR calls come before it)
@@ -906,25 +904,13 @@ class TestOverflowingData:
 class TestPlateauOnset:
     def test_trailing_run(self):
         _, sweep = hokalman_order(gen_y5(40), 8)
-        assert plateau_onset(sweep) == 5  # ranks [2,3,4,5,5,5,5]
+        assert sweep.ranks == [2, 3, 4, 5, 5, 5, 5]
+        assert reference_onset(sweep) == estimators._plateau_onsets(gen_y5(40).samples[None], 8, None)[0] == 5
 
     def test_lone_final_value(self):
         [sweep] = estimators._rank_sweeps(gen_y5(40).samples[None], 8, "square", None)
-        assert plateau_onset(sweep) == 8  # ranks [...,4,4,5]
-
-    @pytest.mark.parametrize(
-        "ns, ranks, message",
-        [
-            ((), (), "sweep is empty"),
-            ((2, 3, 3), (1, 1, 1), "strictly increasing n"),
-            ((2, 3, 4), (1, 4, 1), "rank cannot exceed n"),
-        ],
-        ids=["empty", "n_not_increasing", "rank_above_n"],
-    )
-    def test_malformed_sweeps_are_rejected(self, ns, ranks, message):
-        points = tuple(SweepPoint(n, r, math.inf, math.inf) for n, r in zip(ns, ranks))
-        with pytest.raises(ValueError, match=message):
-            plateau_onset(RankSweep(points))
+        assert sweep.ranks[-3:] == [4, 4, 5]
+        assert reference_onset(sweep) == 8
 
 
 class TestAicOrder:

@@ -20,7 +20,6 @@ from hankelorder import (
     gen_mode_sum,
     list_experiments,
     numerical_rank,
-    plateau_onset,
     pole_pair_modes,
     run_experiment,
     singular_values,
@@ -77,6 +76,16 @@ def parse_sections(text: str) -> dict[str, list[list[str]]]:
             else:
                 sections[current].append(line.split(","))
     return sections
+
+
+def reference_onset(sweep) -> int:
+    """The first n of a sweep's trailing constant-rank run (n_max if the
+    last point stands alone)."""
+    ranks = sweep.ranks
+    i = len(ranks) - 1
+    while i > 0 and ranks[i - 1] == ranks[-1]:
+        i -= 1
+    return sweep.points[i].n
 
 
 def _defaults(name: str) -> dict:
@@ -330,7 +339,7 @@ class TestOffsetEffect:
         onsets = []
         for t in range(params["trials"]):
             noise = NoiseSpec(amp, seed + t)
-            on_plain, on_offset = (plateau_onset(sweep(add_noise(s, noise))) for s in (base, shifted))
+            on_plain, on_offset = (reference_onset(sweep(add_noise(s, noise))) for s in (base, shifted))
             onsets.append((t, on_plain, on_offset))
         return {"noise_free_sweep": _csv_rows(free), "onsets": _csv_rows(onsets)}
 

@@ -3,14 +3,17 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
 
 
@@ -71,6 +74,37 @@ def test_every_workload_name_resolves():
     importlib.import_module("hankelorder.cli")  # cli_mix loads it before calling hk.cli.main
     for name in names:
         assert hasattr(package, name), f"hankelorder.{name}"
+
+
+def _code_names(path: Path, strings: bool = False) -> set[str]:
+    """Every name a file's code reads, as ``name`` or ``<expr>.name``
+    (a ``def`` is not a read), and with ``strings`` every string constant."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    """A public function only tests call is a candidate for removal.  A
+    use is a read in src/, in bench/ as code or as a string (the tracer
+    lists the names it wraps), in demos/, or a call in README."""
+    package = importlib.import_module("hankelorder")
+    functions = [name for name in package.__all__ if inspect.isfunction(getattr(package, name))]
+    assert {"hokalman_order", "gen_y5", "condition_number"} <= set(functions)
+    used = set(re.findall(r"(\w+)\(", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in (ROOT / "src").rglob("*.py"):
+        used |= _code_names(path)
+    for path in BENCH.rglob("*.py"):
+        used |= _code_names(path, strings=True)
+    for path in (ROOT / "demos").rglob("*.py"):
+        used |= _code_names(path)
+    assert [name for name in functions if name not in used] == []
 
 
 def test_result_shapes_the_benchmark_reads(tmp_path):

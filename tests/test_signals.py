@@ -97,9 +97,20 @@ class TestGenModeSum:
         with pytest.raises(ValueError, match=r"^q=-1024 puts the pole spacing 2\^-q outside float range$"):
             pole_pair_modes(10.0, -1024)
 
-    def test_count_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gen_mode_sum(ModeSum([Mode(1.0, 0.5)]), 0)
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda count: gen_mode_sum(ModeSum([Mode(1.0, 0.5)]), count),
+            gen_y5,
+            lambda count: gen_high_order("sinusoid", 3, count),
+            gen_nonhomogeneous,
+            lambda count: rational_mode_sum([(1, Fraction(1, 2))], count),
+        ],
+        ids=["gen_mode_sum", "gen_y5", "gen_high_order", "gen_nonhomogeneous", "rational_mode_sum"],
+    )
+    def test_count_zero_rejected(self, generate):
+        with pytest.raises(ValueError, match=r"^count must be >= 1$"):
+            generate(0)
 
     def test_permutation_invariance_is_bitwise(self):
         modes = [Mode(0.7, 0.2), Mode(-1.3, 0.5, 1.1), Mode(2.0, 0.9)]
@@ -425,14 +436,17 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"pair\.csv:3: .*expected 3 numeric fields"):
             read_signal_csv(path)
 
-    def test_row_only_float_parses_is_unreadable(self, tmp_path):
-        # float("1_0") is 10.0, so no row reads as bad, but numpy's parser rejects the digit separator
+    @pytest.mark.parametrize("rows, lineno", [(["0,1_0"], 2), (["0,\u0661"], 2), (["0,1.0", "1,1_0"], 3)])
+    def test_row_only_float_parses_names_its_line(self, tmp_path, rows, lineno):
+        # float() reads the digit separator and the Arabic-Indic digit, numpy's parser does not
         path = tmp_path / "sep.csv"
-        path.write_text("n,value\n0,1_0\n", encoding="utf-8")
-        # one line that names the file; naming the line as well would be better
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}\S*: .*unreadable signal data") as info:
+        path.write_text("\n".join(["n,value", *rows, ""]), encoding="utf-8")
+        message = (
+            f"{path}:{lineno}: bad row {rows[-1]!r}: expected 2 numeric fields, n = {len(rows) - 1} and a finite value"
+        )
+        with pytest.raises(ValueError) as info:
             read_signal_csv(path)
-        assert "\n" not in str(info.value)
+        assert str(info.value) == message
 
     def test_pair_of_unequal_lengths_rejected(self, tmp_path):
         y, u = gen_nonhomogeneous(5)
@@ -587,7 +601,7 @@ def _reference_read_signal_csv(path):
     ):
         for index, (lineno, text) in enumerate(data):
             try:
-                numbers = list(map(float, text.split(",")))
+                numbers = np.loadtxt([text], delimiter=",", comments=None, ndmin=1).tolist()
             except ValueError:
                 numbers = []
             if len(numbers) != len(header) or numbers[0] != index or not math.isfinite(numbers[1]):
