@@ -265,7 +265,7 @@ def _rank_sweeps(
     ]
 
 
-def _plateau_onsets(samples: np.ndarray, n_max: int, policy: RankPolicy | None) -> list[int]:
+def _plateau_onsets(samples: np.ndarray, n_max: int) -> list[int]:
     """The plateau onset of each row's "all" sweep n = 2..n_max of a
     (k, L) stack, without deciding every n of every row.
 
@@ -279,7 +279,7 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, policy: RankPolicy | None) 
     rank cannot recur.  Each step is one stacked SVD of the live rows'
     views of the full sweep of ``_sweep_points`` (the dense or tall path
     chosen by n_max, as in ``_rank_sweeps``), and every decision is the
-    one ``_rank_sweeps`` makes, bit for bit."""
+    one ``_rank_sweeps`` makes at the default cut, bit for bit."""
     points, exponents = _sweep_points(samples, n_max, "all")
     onsets = np.full(len(samples), n_max)
     live, final = np.arange(len(samples)), None
@@ -290,7 +290,7 @@ def _plateau_onsets(samples: np.ndarray, n_max: int, policy: RankPolicy | None) 
             live, final = live[fits], final[fits]
         if not live.size:
             break
-        [ranks], _, _ = _decide_points([(shape, matrices[live])], policy, exponents[live])
+        [ranks], _, _ = _decide_points([(shape, matrices[live])], None, exponents[live])
         final = ranks if final is None else final
         keep = ranks == final
         live, final = live[keep], final[keep]

@@ -319,7 +319,7 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     samples = _noisy_rows(np.broadcast_to(pair, (1 + trials, 2, count)), noises).reshape(-1, count)
     n_max = params["n_max"]
     _check_sweep_length(count, n_max)  # onsets need every n x n matrix, as in hokalman_order
-    onsets = _plateau_onsets(samples[2:], n_max, None)
+    onsets = _plateau_onsets(samples[2:], n_max)
     ns, ranks, _, _ = _sweep_table(samples[:2], n_max, "all", None)
     plain, offset = ranks.T.tolist()
     rows_free = zip(["plain"] * len(ns) + ["offset"] * len(ns), ns * 2, plain + offset)

@@ -1,9 +1,10 @@
 """Numerical rank machinery and the exact rational rank oracle.
 
-All rank decisions go through a :class:`RankPolicy` applied to a
-:class:`SingularSpectrum`.  The default policy is the standard
-matrix-rank convention: count singular values above
-``max(rows, cols) * machine_epsilon * sigma_max``.
+Every rank decision is one call of the kernel ``_decide``, which checks
+nothing: the sweeps pass it LAPACK spectra, and :func:`numerical_rank` a
+:class:`SingularSpectrum`, the one type that rejects a bad spectrum.
+The default policy is the standard matrix-rank convention: count
+singular values above ``max(rows, cols) * machine_epsilon * sigma_max``.
 
 For noise-free verification on exactly-representable data,
 :func:`exact_rank_rational` computes the rank with fraction-free
@@ -54,9 +55,14 @@ class SingularSpectrum:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
+        if min(self.source_shape) < 1:
+            raise ValueError("source_shape needs at least one row and one column")
         if vals.ndim != 1 or vals.size != min(self.source_shape):
             raise ValueError("spectrum length must equal min(rows, cols)")
-        _check_spectra(vals)
+        if not np.isfinite(vals).all() or (vals < 0).any():
+            raise ValueError("singular values must be finite and >= 0")
+        if (vals[:-1] < vals[1:]).any():
+            raise ValueError("singular values must be non-increasing")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -133,16 +139,6 @@ def singular_values(matrix) -> SingularSpectrum:
     return SingularSpectrum(np.linalg.svd(arr, compute_uv=False), arr.shape)
 
 
-def _check_spectra(spectra: np.ndarray) -> None:
-    """Reject spectra (one per row of the last axis) that are not finite,
-    >= 0 and non-increasing.  A non-increasing row is >= 0 once its last
-    value is, so only the last column is compared with 0."""
-    if not np.isfinite(spectra).all() or (spectra[..., -1:] < 0).any():
-        raise ValueError("singular values must be finite and >= 0")
-    if (spectra[..., :-1] < spectra[..., 1:]).any():
-        raise ValueError("singular values must be non-increasing")
-
-
 def _decide(
     spectra: np.ndarray, lengths, kind: str, value
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,8 +149,8 @@ def _decide(
     least one, so ``row[rank]`` exists and is 0 at full rank.  kind is a
     policy kind, and value its value (tau_rel, tau_abs or min_ratio), a
     scalar or one per row; ``lengths`` and ``value`` broadcast against
-    the rows.  The stack is checked once; the padding changes nothing the
-    check rejects, since a negative value shows as a rise into it.
+    the rows.  Nothing is checked: each row's values must be finite, >= 0
+    and non-increasing, as LAPACK's are and a SingularSpectrum's are.
 
     relative/absolute thresholds count values strictly above the cut
     (padding never is), and the gap is sigma_rank / sigma_(rank+1) (+inf
@@ -165,7 +161,6 @@ def _decide(
     gap.  An all-zero row has rank 0 and gap +inf.  The condition is
     sigma_max / sigma_min, +inf when sigma_min = 0.
     """
-    _check_spectra(spectra)
     width = spectra.shape[-1]
     flat = spectra.reshape(-1)
     starts = np.arange(0, flat.size, width).reshape(spectra.shape[:-1])  # flat index of each row

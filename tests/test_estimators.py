@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import tracemalloc
@@ -44,6 +45,7 @@ from hankelorder import (
     write_sweep_csv,
 )
 from test_experiments import reference_onset
+from test_rank import assert_valid_stacks
 
 
 def _first_order(count=40, q=0.5, b=1.0) -> Signal:
@@ -732,6 +734,43 @@ def test_one_decide_call_per_sweep(samples, n_max, columns, n_min, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# what the unchecked kernel takes on trust from the sweeps
+
+
+@contextlib.contextmanager
+def _decided_stacks():
+    """Every (spectra, lengths) pair ``_decide`` receives from the sweeps
+    while the block runs, with lengths broadcast to one per row."""
+    decide, stacks = estimators._decide, []
+
+    def recording(spectra, lengths, kind, value):
+        stacks.append((spectra.copy(), np.broadcast_to(lengths, spectra.shape[:-1]).copy()))
+        return decide(spectra, lengths, kind, value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_decide", recording)
+        yield stacks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sweep_inputs())
+def test_every_stack_a_sweep_decides_is_a_valid_spectrum(inputs):
+    samples, n_max, columns, policy, n_min = inputs
+    with _decided_stacks() as stacks:
+        estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
+        if columns == "all" and n_max >= 2:
+            estimators._plateau_onsets(samples, n_max)
+    assert_valid_stacks(stacks)
+
+
+def test_every_stack_the_experiments_decide_is_a_valid_spectrum(tmp_path):
+    with _decided_stacks() as stacks:
+        for name, _, _ in list_experiments():
+            run_experiment(ExperimentSpec(name), tmp_path / f"{name}.csv")
+    assert_valid_stacks(stacks)
+
+
+# ---------------------------------------------------------------------------
 # plateau onsets from the top of the sweep down against full sweeps
 
 
@@ -756,33 +795,33 @@ def _onset_inputs(draw):
     size = draw(st.integers(1, 40) | st.integers(crossover - 2, crossover + 2))
     kinds = [draw(st.sampled_from(_ONSET_KINDS)) for _ in range(draw(st.integers(0, 4)))]
     samples = np.array([_onset_signal(kind, size, draw(st.integers(0, 2**32 - 1))) for kind in kinds]).reshape(-1, size)
-    return samples, n_max, draw(_SWEEP_POLICIES)
+    return samples, n_max
 
 
 @settings(max_examples=200, deadline=None)
 @given(_onset_inputs())
-@example((np.array([gen_y5(40).samples, np.full(40, 2.0)]), 2, None))  # one step
-@example((np.array([np.full(135, 2.0), np.zeros(135), gen_y5(135).samples]), 8, None))  # tall, down to n = 2
-@example((np.array([_BETWEEN_CUTS[:40], gen_y5(40).samples]), 10, RankPolicy.gap()))
-@example((np.array([gen_y5(40).samples]), 1, None))  # n_max below 2
-@example((np.array([gen_y5(40).samples, np.full(40, 1.7976931348623157e308)]), 10, None))
+@example((np.array([gen_y5(40).samples, np.full(40, 2.0)]), 2))  # one step
+@example((np.array([np.full(135, 2.0), np.zeros(135), gen_y5(135).samples]), 8))  # tall, down to n = 2
+@example((np.array([_BETWEEN_CUTS[:40], gen_y5(40).samples]), 10))
+@example((np.array([gen_y5(40).samples]), 1))  # n_max below 2
+@example((np.array([gen_y5(40).samples, np.full(40, 1.7976931348623157e308)]), 10))
 # unscaled, finite at n = 19 and 18, where the rank changes, but past float range at n = 4..17
-@example((np.array([2.2e307 * (1.0 + 1e-3 * np.sin(np.arange(20.0)))]), 19, None))
+@example((np.array([2.2e307 * (1.0 + 1e-3 * np.sin(np.arange(20.0)))]), 19))
 # "all" sweeps past n = (L + 1) / 2, where min(shape) grows as n falls
-@example((np.random.default_rng(5).uniform(-1.0, 1.0, (3, 12)), 10, None))
-@example((np.array([gen_y5(15).samples, np.full(15, 2.0), np.zeros(15)]), 12, None))
-@example((np.array([_BETWEEN_CUTS[:14], np.random.default_rng(6).uniform(-1.0, 1.0, 14)]), 13, RankPolicy.gap()))
+@example((np.random.default_rng(5).uniform(-1.0, 1.0, (3, 12)), 10))
+@example((np.array([gen_y5(15).samples, np.full(15, 2.0), np.zeros(15)]), 12))
+@example((np.array([_BETWEEN_CUTS[:14], np.random.default_rng(6).uniform(-1.0, 1.0, 14)]), 13))
 def test_plateau_onsets_equal_the_onsets_of_full_sweeps(inputs):
-    samples, n_max, policy = inputs
+    samples, n_max = inputs
     try:
-        want = [reference_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, "all", policy)]
+        want = [reference_onset(sweep) for sweep in estimators._rank_sweeps(samples, n_max, "all", None)]
     except ValueError as exc:
         # bad arguments: the text the whole stack's sweep raises
         with pytest.raises(ValueError) as got:
-            estimators._plateau_onsets(samples, n_max, policy)
+            estimators._plateau_onsets(samples, n_max)
         assert str(got.value) == str(exc)
         return
-    onsets = estimators._plateau_onsets(samples, n_max, policy)
+    onsets = estimators._plateau_onsets(samples, n_max)
     assert onsets == want
     assert all(type(onset) is int for onset in onsets)
 
@@ -800,7 +839,7 @@ def test_plateau_onsets_decide_only_down_to_the_first_rank_change(monkeypatch):
     # takes, though a sweep to n = 2 alone would take the tall path.  The
     # y5 rows leave at n = 4 without an SVD: 4 values cannot hold rank 5.
     samples = np.array([gen_y5(40).samples, np.full(40, 2.0), gen_y5(40).samples])
-    assert estimators._plateau_onsets(samples, 8, None) == [5, 2, 5]
+    assert estimators._plateau_onsets(samples, 8) == [5, 2, 5]
     assert matrices == [(3, n, 41 - n) for n in range(8, 4, -1)] + [(1, n, 41 - n) for n in (4, 3, 2)]
 
 
@@ -815,7 +854,7 @@ def test_full_rank_rows_are_decided_at_n_max_only(monkeypatch, size):
     samples = np.random.default_rng(3).uniform(-1.0, 1.0, (5, size))
     want = [reference_onset(sweep) for sweep in estimators._rank_sweeps(samples, 10, "all", None)]
     monkeypatch.setattr(np.linalg, "svd", counting)
-    assert estimators._plateau_onsets(samples, 10, None) == want == [10] * 5
+    assert estimators._plateau_onsets(samples, 10) == want == [10] * 5
     # one SVD of the 5 matrices at n = 10 (the tall path's QR calls come before it)
     [(k, rows, cols)] = calls
     assert k == 5 and min(rows, cols) == 10
@@ -874,8 +913,7 @@ def test_sweeps_past_the_bound_read_the_ranks_and_onsets_of_the_unscaled_stack(i
     assert all(float(np.abs(y).max()) * math.sqrt(n_max * size) >= sys.float_info.max / 16 for y in big if y.any())
     want = [sweep.ranks for sweep in estimators._rank_sweeps(samples, n_max, columns, policy)]
     assert [sweep.ranks for sweep in estimators._rank_sweeps(big, n_max, columns, scaled_policy)] == want
-    onsets = estimators._plateau_onsets(samples, n_max, policy)
-    assert estimators._plateau_onsets(big, n_max, scaled_policy) == onsets
+    assert estimators._plateau_onsets(big, n_max) == estimators._plateau_onsets(samples, n_max)
 
 
 class TestOverflowingData:
@@ -905,7 +943,7 @@ class TestPlateauOnset:
     def test_trailing_run(self):
         _, sweep = hokalman_order(gen_y5(40), 8)
         assert sweep.ranks == [2, 3, 4, 5, 5, 5, 5]
-        assert reference_onset(sweep) == estimators._plateau_onsets(gen_y5(40).samples[None], 8, None)[0] == 5
+        assert reference_onset(sweep) == estimators._plateau_onsets(gen_y5(40).samples[None], 8)[0] == 5
 
     def test_lone_final_value(self):
         [sweep] = estimators._rank_sweeps(gen_y5(40).samples[None], 8, "square", None)

@@ -77,10 +77,16 @@ def test_every_workload_name_resolves():
 
 
 def _code_names(path: Path, strings: bool = False) -> set[str]:
-    """Every name a file's code reads, as ``name`` or ``<expr>.name``
-    (a ``def`` is not a read), and with ``strings`` every string constant."""
+    """Every name a file's code reads (``_reads``)."""
+    return _reads(ast.parse(path.read_text(encoding="utf-8")), strings)
+
+
+def _reads(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Every name the code under a node reads, as ``name`` or
+    ``<expr>.name`` (a ``def`` is not a read), and with ``strings`` every
+    string constant."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -105,6 +111,21 @@ def test_every_public_function_is_used_outside_the_tests():
     for path in (ROOT / "demos").rglob("*.py"):
         used |= _code_names(path)
     assert [name for name in functions if name not in used] == []
+
+
+def test_every_private_function_is_read_in_src():
+    """A module-level private function left behind only for tests is a
+    candidate for removal: each one must be read in src/ by code other
+    than its own definition."""
+    defined, reads = [], []
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = node.name if isinstance(node, ast.FunctionDef) else None
+            if name and name.startswith("_") and not name.startswith("__"):
+                defined.append(name)
+            reads.append((name, _reads(node)))
+    assert {"_decide", "_plateau_onsets", "_sweep_points", "_fmt"} <= set(defined)
+    assert [name for name in defined if not any(name in read for owner, read in reads if owner != name)] == []
 
 
 def test_result_shapes_the_benchmark_reads(tmp_path):

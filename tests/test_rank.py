@@ -449,16 +449,7 @@ def test_kernel_edge_spectra():
     assert _decide_rows(np.empty((0, 4)), RankPolicy.gap()) == []
 
 
-@pytest.mark.parametrize(
-    "bad", [[[1.0, 2.0]], [[1.0, -0.5]], [[1.0, math.nan]], [[3.0, 1.0], [math.inf, 1.0]]]
-)
-def test_kernel_checks_the_whole_stack(bad):
-    with pytest.raises(ValueError):
-        _decide_rows(np.array(bad), RankPolicy.gap())
-
-
-_GOOD_STACK = [[3.0, 2.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
-_BAD_ROWS = {
+_BAD_SPECTRA = {
     "nan": [2.0, math.nan, 1.0],
     "+inf": [math.inf, 2.0, 1.0],
     "-inf": [2.0, 1.0, -math.inf],
@@ -471,22 +462,53 @@ _BAD_ROWS = {
 }
 
 
+@pytest.mark.parametrize("defect", sorted(_BAD_SPECTRA))
+def test_spectrum_rejects_each_defect(defect):
+    with pytest.raises(ValueError, match="singular values must be"):
+        _spectrum(_BAD_SPECTRA[defect])
+
+
+def assert_valid_stacks(stacks):
+    """What ``_decide`` takes on trust, for (spectra, lengths) pairs with
+    one length per row: each row is finite, >= 0 and non-increasing over
+    its length, with at least one zero after it and only zeros."""
+    assert stacks
+    for spectra, lengths in stacks:
+        for row, m in zip(spectra.reshape(-1, spectra.shape[-1]), lengths.reshape(-1)):
+            assert np.isfinite(row).all() and (row >= 0).all()
+            assert (row[: m - 1] >= row[1:m]).all()
+            assert m < row.size and not row[m:].any()
+
+
+_GOOD_STACK = [[3.0, 2.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+
+
 @pytest.mark.parametrize("where", range(len(_GOOD_STACK)))
-@pytest.mark.parametrize("defect", sorted(_BAD_ROWS))
+@pytest.mark.parametrize("defect", sorted(_BAD_SPECTRA))
 def test_stack_check_rejects_each_defect_in_any_row(defect, where):
+    """The kernel checks nothing, so the stack check the sweep recordings
+    use must find each defect wherever it sits in a stack."""
+    lengths = np.full(len(_GOOD_STACK), 3)
+    assert_valid_stacks([(np.array(_GOOD_STACK), lengths)])
     stack = [list(row) for row in _GOOD_STACK]
-    stack[where] = _BAD_ROWS[defect]
-    with pytest.raises(ValueError):
-        _decide_rows(np.array(stack), RankPolicy.relative(0.5))
-    with pytest.raises(ValueError):
-        _spectrum(_BAD_ROWS[defect])
+    stack[where] = _BAD_SPECTRA[defect] + [0.0]
+    with pytest.raises(AssertionError):
+        assert_valid_stacks([(np.array(stack), lengths)])
 
 
-def _rejected_by_original_check(stack):
-    """The stack check as first written: every value finite and >= 0 and
-    no adjacent difference > 0."""
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_spectrum_of_an_empty_matrix_is_rejected(shape):
+    with pytest.raises(ValueError, match="source_shape needs at least one row and one column"):
+        numerical_rank(SingularSpectrum([], shape), RankPolicy.gap())
+    with pytest.raises(ValueError, match="source_shape needs at least one row and one column"):
+        condition_number(SingularSpectrum([], shape))
+
+
+def _rejected_by_original_check(row):
+    """The spectrum check as first written: every value finite and >= 0
+    and no adjacent difference > 0."""
     with np.errstate(invalid="ignore"):
-        return not (np.all(np.isfinite(stack)) and np.all(stack >= 0) and not np.any(np.diff(stack, axis=-1) > 0))
+        return not (np.all(np.isfinite(row)) and np.all(row >= 0) and not np.any(np.diff(row) > 0))
 
 
 @settings(max_examples=400, deadline=None)
@@ -507,11 +529,11 @@ def _rejected_by_original_check(stack):
     ),
     st.booleans(),
 )
-def test_stack_check_rejects_exactly_what_the_original_check_rejected(rows, sort):
-    stack = np.array([sorted(row, reverse=True) for row in rows] if sort else rows)
-    try:
-        _decide_rows(stack, RankPolicy.relative(0.5))
-        rejected = False
-    except ValueError:
-        rejected = True
-    assert rejected == _rejected_by_original_check(stack)
+def test_spectrum_rejects_exactly_what_the_original_check_rejected(rows, sort):
+    for row in np.array([sorted(row, reverse=True) for row in rows] if sort else rows):
+        try:
+            _spectrum(row)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == _rejected_by_original_check(row)
