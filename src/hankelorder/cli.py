@@ -39,6 +39,14 @@ from .signals import (
 )
 
 GENERATE_FAMILIES = ("mode_sum", "y5", "high_order", "nonhomogeneous")
+# the generate flags besides --count, each with the families that read it
+_FAMILY_FLAGS = {
+    "--mode": ("mode_sum",),
+    "--sample-period": ("mode_sum", "high_order", "nonhomogeneous"),
+    "--f0": ("high_order",),
+    "--n0": ("high_order",),
+    "--m": ("high_order",),
+}
 ESTIMATE_METHODS = ("hokalman", "aic", "covdet")
 
 
@@ -166,8 +174,19 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args) -> int:
+@functools.cache
+def _generate_defaults(parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """A generate namespace with every flag at its parser default."""
+    return parser.parse_args(["generate", GENERATE_FAMILIES[0]])
+
+
+def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
     family = args.family
+    defaults = _generate_defaults(parser)
+    for flag, families in _FAMILY_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if family not in families and getattr(args, dest) != getattr(defaults, dest):
+            raise ValueError(f"{flag} applies only to generate {', '.join(families)}")
     out = args.out or Path(f"{family}.csv")
     if family == "y5":
         sig = gen_y5(args.count)
@@ -254,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--seed applies only to experiment")
         policy = _build_policy(args)
         if args.command == "generate":
-            return _cmd_generate(args)
+            return _cmd_generate(args, parser)
         if args.command == "rank":
             return _cmd_rank(args, policy)
         if args.command == "estimate":

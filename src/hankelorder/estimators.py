@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .hankel import _windows
-from .rank import ABSOLUTE, EPS, RELATIVE, RankPolicy, _decide
+from .rank import ABSOLUTE, EPS, RELATIVE, RankPolicy, _decide, _Decisions
 from .signals import Signal, _write_csv
 
 __all__ = [
@@ -219,14 +219,14 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     return [((n, size - n + 1), windows[..., :n, : length - n + 1]) for n in ns], exponents
 
 
-def _decide_points(points: list, policy: RankPolicy | None, exponents: np.ndarray):
-    """(rank, gap, condition) arrays of shape (points, k): the decisions at
-    the points of ``_sweep_points`` of k rows scaled by 2^-exponents, one
-    LAPACK SVD call per point for the whole stack (each matrix gets bit
-    for bit the singular values of a call on it alone), then one
-    ``_decide`` call on all spectra, zero-padded into a
-    (points, k, m_max + 1) array.  ``policy`` None means the per-matrix
-    default cut max(rows, cols) * eps."""
+def _decide_points(points: list, exponents: np.ndarray, policy: RankPolicy | None = None) -> _Decisions:
+    """The decisions, arrays of shape (points, k), at the points of
+    ``_sweep_points`` of k rows scaled by 2^-exponents: one LAPACK SVD
+    call per point for the whole stack (each matrix gets bit for bit the
+    singular values of a call on it alone), then one ``_decide`` call on
+    all spectra, zero-padded into a (points, k, m_max + 1) array; column
+    j is row j's sweep.  ``policy`` None means the per-matrix default cut
+    max(rows, cols) * eps."""
     lengths = [min(shape) for shape, _ in points]
     # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
     spectra = np.zeros((len(points), len(exponents), max(lengths, default=1) + 1))
@@ -241,27 +241,17 @@ def _decide_points(points: list, policy: RankPolicy | None, exponents: np.ndarra
     return _decide(spectra, np.array(lengths, dtype=int)[:, None], kind, value)
 
 
-def _sweep_table(
-    samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The decision table of the sweep over n = n_min..n_max of each row
-    of a (k, L) stack of finite samples (k may be 0; rows past the bound
-    of ``_sweep_points`` scaled), decided in one pass (``_decide_points``):
-    the n values, then the (points, k) rank, gap and condition arrays,
-    whose column j is row j's sweep.  Arguments are checked by
-    ``_sweep_points``."""
-    points, exponents = _sweep_points(samples, n_max, columns, n_min)
-    return [shape[0] for shape, _ in points], *_decide_points(points, policy, exponents)
-
-
 def _rank_sweeps(
     samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
 ) -> list[RankSweep]:
-    """``_sweep_table`` as one RankSweep per row of the stack."""
-    ns, ranks, gaps, conds = _sweep_table(samples, n_max, columns, policy, n_min)
+    """The sweep over n = n_min..n_max of each row of a (k, L) stack of
+    finite samples (k may be 0), decided in one pass (``_decide_points``),
+    as one RankSweep per row.  Arguments are checked by ``_sweep_points``."""
+    decided = _decide_points(*_sweep_points(samples, n_max, columns, n_min), policy)
+    ns = range(n_min, n_max + 1)
     return [
         RankSweep(tuple(map(SweepPoint, ns, r, g, c)))
-        for r, g, c in zip(ranks.T.tolist(), gaps.T.tolist(), conds.T.tolist())
+        for r, g, c in zip(decided.rank.T.tolist(), decided.gap.T.tolist(), decided.condition.T.tolist())
     ]
 
 
@@ -290,7 +280,7 @@ def _plateau_onsets(samples: np.ndarray, n_max: int) -> list[int]:
             live, final = live[fits], final[fits]
         if not live.size:
             break
-        [ranks], _, _ = _decide_points([(shape, matrices[live])], None, exponents[live])
+        ranks = _decide_points([(shape, matrices[live])], exponents[live]).rank[0]
         final = ranks if final is None else final
         keep = ranks == final
         live, final = live[keep], final[keep]

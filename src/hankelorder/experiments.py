@@ -27,8 +27,8 @@ from .estimators import (
     _decide_points,
     _order_str,
     _plateau_onsets,
+    _sweep_points,
     _sweep_section,
-    _sweep_table,
     aic_order,
     covariance_determinants,
     hokalman_order,
@@ -111,7 +111,8 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
         for i, q in grid
     )
     samples = _noisy_rows(np.array([cleans[q] for _, q in grid]).reshape(len(grid), count), noises)
-    ns, ranks, _, _ = _sweep_table(samples, n_max, "square", None, params["n_min"])
+    ns = list(range(params["n_min"], n_max + 1))
+    ranks = _decide_points(*_sweep_points(samples, n_max, "square", params["n_min"])).rank
     # each grid signal's sweep n = n_min..n_max, in grid order
     rows = zip(
         [levels[i] for i, _ in grid for _ in ns],
@@ -129,7 +130,7 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
         if q in grid_ranks:
             return grid_ranks[q]
         clean = gen_mode_sum(pole_pair_modes(p, q), count).samples
-        return int(_sweep_table(clean[None], n_max, "square", None, n_min=n_max)[1][0, 0])
+        return int(_decide_points(*_sweep_points(clean[None], n_max, "square", n_min=n_max)).rank[0, 0])
 
     q0 = next((q for q in range(1, params["q_scan_max"] + 1) if clean_rank(q) < 2), None)
     headline = f"q0={q0 if q0 is not None else 'none'}"
@@ -284,8 +285,8 @@ def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
     y, u = gen_nonhomogeneous(params["count"], params["sample_period"])
     matrices = [build_hankel(y, n).entries] + [build_augmented(y, u, n, side).entries for side in (BOTTOM, RIGHT)]
     # one decision for the three matrices of one unscaled row, each at its default cut max(shape) * eps
-    ranks, _, _ = _decide_points([(m.shape, m[None]) for m in matrices], None, np.zeros(1, dtype=int))
-    unaug, bottom, right = ranks[:, 0].tolist()
+    decided = _decide_points([(m.shape, m[None]) for m in matrices], np.zeros(1, dtype=int))
+    unaug, bottom, right = decided.rank[:, 0].tolist()
     rows = [
         ("unaugmented", n, n, unaug),
         ("augmented_bottom", n + 1, n, bottom),
@@ -320,8 +321,8 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     n_max = params["n_max"]
     _check_sweep_length(count, n_max)  # onsets need every n x n matrix, as in hokalman_order
     onsets = _plateau_onsets(samples[2:], n_max)
-    ns, ranks, _, _ = _sweep_table(samples[:2], n_max, "all", None)
-    plain, offset = ranks.T.tolist()
+    ns = list(range(2, n_max + 1))
+    plain, offset = _decide_points(*_sweep_points(samples[:2], n_max, "all")).rank.T.tolist()
     rows_free = zip(["plain"] * len(ns) + ["offset"] * len(ns), ns * 2, plain + offset)
     on_plain, on_offset = onsets[::2], onsets[1::2]
     favourable = sum(o <= p for p, o in zip(on_plain, on_offset))
@@ -339,9 +340,9 @@ def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     amp = _noise_amplitude(base.samples, params["snr_db"])
     noisy = add_noise(base, NoiseSpec(amp, seed))
-    ns, ranks, _, _ = _sweep_table(noisy.samples[None], params["n_max"], "all", None)
+    ranks = _decide_points(*_sweep_points(noisy.samples[None], params["n_max"], "all")).rank
     rows = []
-    for n, rank in zip(ns, ranks[:, 0].tolist()):
+    for n, rank in enumerate(ranks[:, 0].tolist(), start=2):
         mat = build_rectangular_hankel(noisy, n, count - n + 1)
         _, pivots = row_echelon(mat.entries, params["echelon_tol"])
         rows.append((n, rank, pivots))

@@ -3,6 +3,8 @@
 Every rank decision is one call of the kernel ``_decide``, which checks
 nothing: the sweeps pass it LAPACK spectra, and :func:`numerical_rank` a
 :class:`SingularSpectrum`, the one type that rejects a bad spectrum.
+``_decide`` returns a ``_Decisions`` record of rank, gap and condition
+arrays, which callers read by field name.
 The default policy is the standard matrix-rank convention: count
 singular values above ``max(rows, cols) * machine_epsilon * sigma_max``.
 
@@ -139,11 +141,17 @@ def singular_values(matrix) -> SingularSpectrum:
     return SingularSpectrum(np.linalg.svd(arr, compute_uv=False), arr.shape)
 
 
-def _decide(
-    spectra: np.ndarray, lengths, kind: str, value
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rank, decision gap, condition) arrays, one entry per row of a
-    (..., m) stack of zero-padded spectra.
+class _Decisions(NamedTuple):
+    """The decisions of ``_decide``: arrays with one entry per row."""
+
+    rank: np.ndarray
+    gap: np.ndarray
+    condition: np.ndarray
+
+
+def _decide(spectra: np.ndarray, lengths, kind: str, value) -> _Decisions:
+    """The rank, decision gap and condition of each row of a (..., m)
+    stack of zero-padded spectra.
 
     Row i holds its lengths[i] singular values followed by zeros, at
     least one, so ``row[rank]`` exists and is 0 at full rank.  kind is a
@@ -185,25 +193,23 @@ def _decide(
             rank = (spectra > cut[..., None]).argmin(-1)  # rows end in padding, which never counts
             gap = flat[starts + np.maximum(rank - 1, 0)] / flat[starts + rank]
             gap[rank == 0] = np.inf
-    return rank, gap, cond
+    return _Decisions(rank, gap, cond)
 
 
-def _decide_one(spectrum: SingularSpectrum, policy: RankPolicy) -> tuple[int, float, float]:
-    """``_decide`` on one spectrum, as Python numbers."""
-    padded = np.append(spectrum.values, 0.0)[None]
-    rank, gap, cond = _decide(padded, len(spectrum), policy.kind, policy.value)
-    return int(rank[0]), float(gap[0]), float(cond[0])
+def _decide_one(spectrum: SingularSpectrum, policy: RankPolicy) -> _Decisions:
+    """``_decide`` on one spectrum: one-entry arrays."""
+    return _decide(np.append(spectrum.values, 0.0)[None], len(spectrum), policy.kind, policy.value)
 
 
 def numerical_rank(spectrum: SingularSpectrum, policy: RankPolicy) -> RankResult:
     """Apply a policy to a spectrum (the rules are those of ``_decide``)."""
-    rank, gap, _ = _decide_one(spectrum, policy)
-    return RankResult(rank, policy, spectrum, gap)
+    decided = _decide_one(spectrum, policy)
+    return RankResult(int(decided.rank[0]), policy, spectrum, float(decided.gap[0]))
 
 
 def condition_number(spectrum: SingularSpectrum) -> float:
     """sigma_max / sigma_min; +inf when sigma_min = 0."""
-    return _decide_one(spectrum, default_policy(spectrum.source_shape))[2]
+    return float(_decide_one(spectrum, default_policy(spectrum.source_shape)).condition[0])
 
 
 def _as_integer_rows(matrix: Sequence[Sequence]) -> list[list[int]]:

@@ -22,13 +22,16 @@ from hankelorder import (
     covariance_determinants,
     covdet_order,
     default_policy,
+    gen_high_order,
     gen_mode_sum,
+    gen_nonhomogeneous,
     gen_y5,
     hokalman_order,
     list_experiments,
     numerical_rank,
     read_signal_csv,
     singular_values,
+    write_pair_csv,
     write_signal_csv,
     write_sweep_csv,
 )
@@ -105,6 +108,48 @@ class TestGenerate:
                      "--count", "12", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 13
+
+    @pytest.mark.parametrize(
+        "family, flag, readers",
+        [
+            (family, flag, readers)
+            for flag, readers in [
+                (["--mode", "1,0.5"], "mode_sum"),
+                (["--sample-period", "2"], "mode_sum, high_order, nonhomogeneous"),
+                (["--f0", "sinusoid"], "high_order"),
+                (["--n0", "3"], "high_order"),
+                (["--m", "2"], "high_order"),
+            ]
+            for family in GENERATE_FAMILIES
+            if family not in readers.split(", ")
+        ],
+    )
+    def test_flag_of_another_family_exits_two(self, tmp_path, capsys, family, flag, readers):
+        out = tmp_path / "g.csv"
+        assert main(["generate", family, *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag[0]} applies only to generate {readers}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, write",
+        [
+            (["mode_sum", "--mode", "1,0.5", "--sample-period", "0.5"],
+             lambda path: write_signal_csv(gen_mode_sum(ModeSum([Mode(1.0, 0.5)]), 40, 0.5), path)),
+            (["high_order", "--f0", "sinusoid", "--n0", "3", "--m", "2", "--sample-period", "0.5"],
+             lambda path: write_signal_csv(gen_high_order("sinusoid", 3, 40, 2, sample_period=0.5), path)),
+            (["nonhomogeneous", "--sample-period", "0.5"],
+             lambda path: write_pair_csv(*gen_nonhomogeneous(40, 0.5), path)),
+            # flags at their defaults are no misuse
+            (["y5", "--sample-period", "1", "--f0", "exponential"], lambda path: write_signal_csv(gen_y5(40), path)),
+        ],
+    )
+    def test_flags_a_family_reads_write_what_the_library_writes(self, tmp_path, argv, write):
+        out, fresh = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["generate", *argv, "--out", str(out)]) == 0
+        write(fresh)
+        assert out.read_bytes() == fresh.read_bytes()
+        sidecar = ".provenance.txt"
+        assert out.with_name(out.name + sidecar).read_bytes() == fresh.with_name(fresh.name + sidecar).read_bytes()
 
 
 class TestRank:

@@ -25,7 +25,7 @@ from hankelorder import (
     singular_values,
 )
 from hankelorder import estimators, experiments
-from hankelorder.estimators import _rank_sweeps, _sweep_table
+from hankelorder.estimators import _rank_sweeps, _sweep_points
 from hankelorder.experiments import _exp_family_conditions
 
 EXPECTED_NAMES = [
@@ -261,12 +261,12 @@ class TestFig3:
             synthesised.append(q)
             return pole_pair_modes(p, q)
 
-        def recording_sweeps(samples, n_max, columns, policy, n_min=2):
+        def recording_sweeps(samples, n_max, columns, n_min=2):
             swept.append((len(samples), n_min))
-            return _sweep_table(samples, n_max, columns, policy, n_min)
+            return _sweep_points(samples, n_max, columns, n_min)
 
         monkeypatch.setattr(experiments, "pole_pair_modes", recording_modes)
-        monkeypatch.setattr(experiments, "_sweep_table", recording_sweeps)
+        monkeypatch.setattr(experiments, "_sweep_points", recording_sweeps)
         summary = run_experiment(ExperimentSpec("fig3_pole_proximity"), tmp_path / "fig3.csv")
         assert summary.headline == "q0=18"
         # the grid's 16 clean signals, then only the q past the grid up to q0

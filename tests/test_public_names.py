@@ -128,6 +128,84 @@ def test_every_private_function_is_read_in_src():
     assert [name for name in defined if not any(name in read for owner, read in reads if owner != name)] == []
 
 
+_DECIDERS = {"_decide", "_decide_one", "_decide_points"}
+
+
+def _decision_call(node: ast.AST, deciders: set[str]) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in deciders
+
+
+def _deciders(trees: list[ast.Module]) -> set[str]:
+    """``_DECIDERS`` and every module-level function that returns what
+    one of them returns, as it is or star-unpacked into a tuple."""
+    deciders = set(_DECIDERS)
+    while True:
+        wrappers = {
+            node.name
+            for tree in trees
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for ret in ast.walk(node)
+            if isinstance(ret, ast.Return) and (
+                _decision_call(ret.value, deciders)
+                or isinstance(ret.value, ast.Tuple) and any(
+                    isinstance(e, ast.Starred) and _decision_call(e.value, deciders) for e in ret.value.elts
+                )
+            )
+        }
+        if wrappers <= deciders:
+            return deciders
+        deciders |= wrappers
+
+
+def _positional_decision_reads(tree: ast.AST, deciders: set[str]) -> list[int]:
+    """The lines at which code reads what a decider call returns, or a
+    name assigned it, by position: unpacked into a tuple or list target,
+    star-unpacked, subscripted or iterated."""
+    records = set()
+
+    def is_record(node: ast.AST) -> bool:
+        return _decision_call(node, deciders) or isinstance(node, ast.Name) and node.id in records
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_record(node.value):
+            records |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_record(node.value):
+            if any(isinstance(target, (ast.Tuple, ast.List)) for target in node.targets):
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.For, ast.comprehension)) and is_record(node.iter):
+            lines.add(node.iter.lineno)
+        elif isinstance(node, (ast.Starred, ast.Subscript)) and is_record(node.value):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_rank_decision_is_read_by_position_in_src():
+    """Callers read a rank decision by field name, so a field added to
+    the record reaches no caller that does not ask for it.  A function
+    that hands a decision on (``_deciders``) is held to the same rule."""
+    sample = ast.parse(
+        "def table(p, e):\n"
+        "    return ns, *_decide_points(p, e)\n"
+        "rank, gap, cond = _decide(s, m, k, v)\n"
+        "c = _decide_one(s, p)[2]\n"
+        "d = table(p, e)\n"
+        "[r], _, _ = d\n"
+        "rows = [x for x in d]\n"
+        "r = _decide(s, m, k, v).rank[0] + d.gap[0]\n"
+    )
+    assert _positional_decision_reads(sample, _deciders([sample])) == [2, 3, 4, 6, 7]
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    defined = {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _DECIDERS <= defined
+    deciders = _deciders(trees)
+    found = [f"{path.name}:{line}" for path, tree in zip(paths, trees) for line in _positional_decision_reads(tree, deciders)]
+    assert found == []
+
+
 def test_result_shapes_the_benchmark_reads(tmp_path):
     """The attributes and types that bench/workloads.py and bench/tracer.py
     take off results, beyond the names above."""

@@ -332,8 +332,8 @@ def _decide_rows(stack, policy):
     with one zero column), as a list of (rank, gap, condition) tuples."""
     stack = np.asarray(stack, dtype=float)
     padded = np.concatenate([stack, np.zeros(stack.shape[:-1] + (1,))], axis=-1)
-    rank, gap, cond = _decide(padded, stack.shape[-1], policy.kind, policy.value)
-    return list(zip(rank.tolist(), gap.tolist(), cond.tolist()))
+    decided = _decide(padded, stack.shape[-1], policy.kind, policy.value)
+    return list(zip(decided.rank.tolist(), decided.gap.tolist(), decided.condition.tolist()))
 
 
 def _bits(rank, gap, cond):
@@ -411,12 +411,12 @@ def test_padded_ragged_stack_matches_one_spectrum_rules_bit_for_bit(case, one_va
             _bits(*_scalar_rank(row[:m], RankPolicy(kind, float(v))), _scalar_condition(row[:m]))
             for row, m, v in zip(padded, lengths, values)
         ]
-    rank, gap, cond = _decide(padded, lengths, kind, float(values[0]) if one_value and len(values) else values)
-    assert [_bits(*d) for d in zip(rank.tolist(), gap.tolist(), cond.tolist())] == expected
+    flat = _decide(padded, lengths, kind, float(values[0]) if one_value and len(values) else values)
+    assert [_bits(*d) for d in zip(flat.rank.tolist(), flat.gap.tolist(), flat.condition.tolist())] == expected
     # one (points, signals, width + 1) sweep stack, lengths and values per point
-    rank3, gap3, cond3 = _decide(padded[:, None], lengths[:, None], kind, values[:, None])
-    assert (rank3[:, 0].tolist(), gap3[:, 0].tolist(), cond3[:, 0].tolist()) == (
-        rank.tolist(), gap.tolist(), cond.tolist()
+    stacked = _decide(padded[:, None], lengths[:, None], kind, values[:, None])
+    assert (stacked.rank[:, 0].tolist(), stacked.gap[:, 0].tolist(), stacked.condition[:, 0].tolist()) == (
+        flat.rank.tolist(), flat.gap.tolist(), flat.condition.tolist()
     )
 
 
@@ -429,13 +429,13 @@ def test_padded_rows_decide_within_their_length():
         [0.0, 0.0, 0.0, 0.0],  # all zero
     ])
     lengths = np.array([2, 2, 1, 3, 3])
-    rank, gap, cond = _decide(padded, lengths, "gap_ratio", 1e3)
-    assert rank.tolist() == [2, 1, 1, 2, 0]
-    assert gap.tolist() == [2.0, math.inf, 1.0, math.inf, math.inf]
-    assert cond.tolist() == [2.0, math.inf, 1.0, math.inf, math.inf]
-    rank, gap, _ = _decide(padded, lengths, "relative_threshold", np.array([0.6, 1e-10, 0.5, 0.6, 0.5]))
-    assert rank.tolist() == [1, 1, 1, 1, 0]
-    assert gap.tolist() == [2.0, math.inf, math.inf, 2.0, math.inf]
+    decided = _decide(padded, lengths, "gap_ratio", 1e3)
+    assert decided.rank.tolist() == [2, 1, 1, 2, 0]
+    assert decided.gap.tolist() == [2.0, math.inf, 1.0, math.inf, math.inf]
+    assert decided.condition.tolist() == [2.0, math.inf, 1.0, math.inf, math.inf]
+    decided = _decide(padded, lengths, "relative_threshold", np.array([0.6, 1e-10, 0.5, 0.6, 0.5]))
+    assert decided.rank.tolist() == [1, 1, 1, 1, 0]
+    assert decided.gap.tolist() == [2.0, math.inf, math.inf, 2.0, math.inf]
 
 
 def test_kernel_edge_spectra():
