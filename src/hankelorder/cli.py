@@ -39,27 +39,34 @@ from .signals import (
 )
 
 GENERATE_FAMILIES = ("mode_sum", "y5", "high_order", "nonhomogeneous")
-# the generate flags besides --count, each with the families that read it
-_FAMILY_FLAGS = {
-    "--mode": ("mode_sum",),
-    "--sample-period": ("mode_sum", "high_order", "nonhomogeneous"),
-    "--f0": ("high_order",),
-    "--n0": ("high_order",),
-    "--m": ("high_order",),
-}
 ESTIMATE_METHODS = ("hokalman", "aic", "covdet")
+# Each flag that some command does not read, with the commands, generate
+# families and estimate methods that do.  main rejects such a flag set away
+# from its parser default anywhere else, checking in this order.
+_READERS = {
+    "--seed": ("experiment",),
+    "--policy": ("rank", "estimate --method hokalman"),
+    "--tol": ("rank", "estimate --method hokalman"),
+    "--n-max": ("rank", "estimate --method hokalman"),
+    "--p-max": ("estimate --method aic",),
+    "--m-range": ("estimate --method covdet",),
+    "--mode": ("generate mode_sum",),
+    "--sample-period": ("generate mode_sum", "generate high_order", "generate nonhomogeneous"),
+    "--f0": ("generate high_order",),
+    "--n0": ("generate high_order",),
+    "--m": ("generate high_order",),
+    "--out": ("generate", "rank", "estimate", "experiment"),
+}
 
 
 def _build_policy(args) -> RankPolicy | None:
     """The --policy/--tol rank policy; None (the default policy) without
-    flags.  The flags are rejected where no rank decision is made."""
+    flags."""
     name, tol = args.policy, args.tol
     if name is None:
         if tol is not None:
             raise ValueError("--tol requires --policy")
         return None
-    if not (args.command == "rank" or (args.command == "estimate" and args.method == "hokalman")):
-        raise ValueError("--policy and --tol apply only to rank and estimate --method hokalman")
     if name == "relative":
         return RankPolicy.relative(tol if tol is not None else 1e-10)
     if name == "absolute":
@@ -175,18 +182,21 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _generate_defaults(parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """A generate namespace with every flag at its parser default."""
-    return parser.parse_args(["generate", GENERATE_FAMILIES[0]])
+def _flag_defaults(parser: argparse.ArgumentParser) -> dict:
+    """Each flag's parser default; commands that share a flag share its
+    default, and the subcommand copies of the global flags SUPPRESS theirs."""
+    [commands] = parser._subparsers._group_actions
+    return {
+        flag: action.default
+        for p in (parser, *commands.choices.values())
+        for action in p._actions
+        for flag in action.option_strings
+        if action.default is not argparse.SUPPRESS
+    }
 
 
-def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_generate(args) -> int:
     family = args.family
-    defaults = _generate_defaults(parser)
-    for flag, families in _FAMILY_FLAGS.items():
-        dest = flag[2:].replace("-", "_")
-        if family not in families and getattr(args, dest) != getattr(defaults, dest):
-            raise ValueError(f"{flag} applies only to generate {', '.join(families)}")
     out = args.out or Path(f"{family}.csv")
     if family == "y5":
         sig = gen_y5(args.count)
@@ -268,12 +278,20 @@ def main(argv: list[str] | None = None) -> int:
     args, extras = parser.parse_known_args(argv)
     if extras and args.command != "experiment":
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    invocation = {args.command}
+    if args.command == "generate":
+        invocation.add(f"generate {args.family}")
+    elif args.command == "estimate":
+        invocation.add(f"estimate --method {args.method}")
+    defaults = _flag_defaults(parser)
     try:
-        if args.seed is not None and args.command != "experiment":
-            raise ValueError("--seed applies only to experiment")
+        for flag, readers in _READERS.items():
+            default = defaults[flag]
+            if invocation.isdisjoint(readers) and getattr(args, flag[2:].replace("-", "_"), default) != default:
+                raise ValueError(f"{flag} applies only to {', '.join(readers)}")
         policy = _build_policy(args)
         if args.command == "generate":
-            return _cmd_generate(args, parser)
+            return _cmd_generate(args)
         if args.command == "rank":
             return _cmd_rank(args, policy)
         if args.command == "estimate":

@@ -480,8 +480,8 @@ def write_pair_csv(y: Signal, u: Signal, path: str | Path) -> Path:
 def read_signal_csv(path: str | Path) -> Signal:
     """Load a signal written by :func:`write_signal_csv`.
 
-    Pair files (``n,y,u``) are accepted too; the output column ``y`` is
-    loaded.  Comment lines starting with ``#`` are skipped.  Every data
+    The header must be ``n,value`` or, for pair files, ``n,y,u``, whose
+    output column ``y`` is loaded.  Comment lines starting with ``#`` are skipped.  Every data
     row must hold one number per header field, the ``n`` column must run
     0..L-1 and the loaded value must be finite; a bad row raises
     ValueError naming the file and line.  A leading UTF-8 byte order mark,
@@ -507,7 +507,7 @@ def read_signal_csv(path: str | Path) -> Signal:
     if not lines:
         raise ValueError(f"{path}: empty signal file")
     header = [c.strip() for c in lines[0].split(",")]
-    if header[:2] not in (["n", "value"], ["n", "y"]):
+    if header not in (["n", "value"], ["n", "y", "u"]):
         raise ValueError(f"{path}: expected header 'n,value' or 'n,y,u', got {lines[0]!r}")
     if len(lines) == 1:
         raise ValueError(f"{path}: no data rows")

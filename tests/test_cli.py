@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -114,20 +115,20 @@ class TestGenerate:
         [
             (family, flag, readers)
             for flag, readers in [
-                (["--mode", "1,0.5"], "mode_sum"),
-                (["--sample-period", "2"], "mode_sum, high_order, nonhomogeneous"),
-                (["--f0", "sinusoid"], "high_order"),
-                (["--n0", "3"], "high_order"),
-                (["--m", "2"], "high_order"),
+                (["--mode", "1,0.5"], "generate mode_sum"),
+                (["--sample-period", "2"], "generate mode_sum, generate high_order, generate nonhomogeneous"),
+                (["--f0", "sinusoid"], "generate high_order"),
+                (["--n0", "3"], "generate high_order"),
+                (["--m", "2"], "generate high_order"),
             ]
             for family in GENERATE_FAMILIES
-            if family not in readers.split(", ")
+            if f"generate {family}" not in readers.split(", ")
         ],
     )
     def test_flag_of_another_family_exits_two(self, tmp_path, capsys, family, flag, readers):
         out = tmp_path / "g.csv"
         assert main(["generate", family, *flag, "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", f"error: {flag[0]} applies only to generate {readers}\n")
+        assert capsys.readouterr() == ("", f"error: {flag[0]} applies only to {readers}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -594,7 +595,7 @@ class TestRankFlags:
         argv = [a.format(src=src) for a in argv] + ["--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: --policy and --tol apply only to rank and estimate --method hokalman\n"
+        assert captured.err == "error: --policy applies only to rank, estimate --method hokalman\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -622,6 +623,57 @@ class TestRankFlags:
         with pytest.raises(SystemExit) as err:
             main(["-v", "list"])
         assert err.value.code == 2
+
+
+_ESTIMATE_FLAGS = {
+    "hokalman": (["--n-max", "3"], "rank, estimate --method hokalman"),
+    "aic": (["--p-max", "3"], "estimate --method aic"),
+    "covdet": (["--m-range", "2:3"], "estimate --method covdet"),
+}
+
+
+class TestFlagReaders:
+    """One table in cli names the readers of each flag that some command
+    does not read; a flag set away from its default elsewhere exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # each estimate method meets the flags of the other two
+            *[
+                (["estimate", "{src}", "--method", method, *flag], f"{flag[0]} applies only to {readers}")
+                for method in ESTIMATE_METHODS
+                for reader, (flag, readers) in _ESTIMATE_FLAGS.items()
+                if reader != method
+            ],
+            (["list"], "--out applies only to generate, rank, estimate, experiment"),
+            (["estimate", "{src}", "--method", "covdet", "--tol", "0.5"],
+             "--tol applies only to rank, estimate --method hokalman"),
+        ],
+    )
+    def test_flag_where_it_is_not_read_exits_two_before_reading_input(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.csv"
+        # the input does not exist: the flag is rejected before any file is read
+        argv = [a.format(src=tmp_path / "missing.csv") for a in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_every_flag_some_command_does_not_read_is_in_the_table(self):
+        [commands] = _make_parser()._subparsers._group_actions
+        flags = {flag for p in commands.choices.values() for action in p._actions for flag in action.option_strings}
+        # every command and variant that accepts these flags reads them
+        assert flags - set(cli._READERS) == {"-h", "--help", "--count", "--n", "--method"}
+        readers = {*commands.choices, *(f"generate {f}" for f in GENERATE_FAMILIES),
+                   *(f"estimate --method {m}" for m in ESTIMATE_METHODS)}
+        for flag, names in cli._READERS.items():
+            assert set(names) <= readers, flag
+            for name in names:
+                assert flag in commands.choices[name.split()[0]]._option_string_actions, (flag, name)
+            # commands that share a flag share its default
+            defaults = {p._option_string_actions[flag].default
+                        for p in commands.choices.values() if flag in p._option_string_actions}
+            assert len(defaults - {argparse.SUPPRESS}) <= 1, flag
 
 
 class TestListAndHelp:
@@ -747,27 +799,32 @@ def _size(draw) -> int:
 
 @st.composite
 def _cli_argv(draw) -> list[str]:
-    """An argv that argparse accepts; ``{signal}`` stands for the signal CSV.
+    """An argv that argparse accepts; ``{signal}`` stands for the signal
+    CSV and ``{out}`` for the output path.
 
-    --seed, --policy and --tol are offered where they apply and now and
-    then where they do not, so that most rank and estimate draws reach
-    the numerics and the misuse errors stay covered."""
+    Each flag that some command does not read (--seed, --policy, --tol,
+    --out, and the generate family and estimate method flags) is offered
+    where it is read and now and then where it is not, so that most draws
+    reach the numerics and the misuse errors stay covered."""
     command = draw(st.sampled_from(["generate", "rank", "estimate", "experiment", "list"]))
     argv = [command]
     optional = []
     decides_rank = command == "rank"
     if command == "generate":
-        argv += [draw(st.sampled_from(GENERATE_FAMILIES)), _flag("count", draw(st.integers(-2, 2000)))]
-        for _ in range(draw(st.integers(0, 3))):
+        family = draw(st.sampled_from(GENERATE_FAMILIES))
+        argv += [family, _flag("count", draw(st.integers(-2, 2000)))]
+        for _ in range(draw(st.integers(0, 3)) if family == "mode_sum" or draw(_NOW_AND_THEN) else 0):
             # argparse itself rejects a non-finite mode (two lines: usage, error)
             parts = draw(st.lists(_FINITE_FLOAT, min_size=2, max_size=3))
             argv.append("--mode=" + ",".join(map(repr, parts)))
-        optional += [
-            _flag("sample-period", draw(_ANY_FLOAT)),
-            _flag("f0", draw(st.sampled_from(["sinusoid", "exponential"]))),
-            _flag("n0", draw(st.integers(-1, 60))),
-            _flag("m", draw(st.integers(-1, 3))),
-        ]
+        for flag, value, readers in [
+            ("sample-period", draw(_ANY_FLOAT), ("mode_sum", "high_order", "nonhomogeneous")),
+            ("f0", draw(st.sampled_from(["sinusoid", "exponential"])), ("high_order",)),
+            ("n0", draw(st.integers(-1, 60)), ("high_order",)),
+            ("m", draw(st.integers(-1, 3)), ("high_order",)),
+        ]:
+            if family in readers or draw(_NOW_AND_THEN):
+                optional.append(_flag(flag, value))
     elif command == "rank":
         argv.append("{signal}")
         optional.append(_flag(draw(st.sampled_from(["n", "n-max"])), _size(draw)))
@@ -778,11 +835,10 @@ def _cli_argv(draw) -> list[str]:
         lo, hi = _size(draw) - 1, _size(draw) + 8
         if draw(_NOW_AND_THEN):  # an upper bound up to 10^12 must exit 2 without listing the orders
             hi = draw(st.integers(-3, 30) | st.integers(31, 10**12))
-        optional += [
-            _flag("n-max", _size(draw)),
-            _flag("p-max", _size(draw)),
-            f"--m-range={lo}:{hi}",
-        ]
+        for flag, value, reader in [("n-max", _size(draw), "hokalman"), ("p-max", _size(draw), "aic"),
+                                    ("m-range", f"{lo}:{hi}", "covdet")]:
+            if method == reader or draw(_NOW_AND_THEN):
+                optional.append(_flag(flag, value))
     elif command == "experiment":
         name = draw(st.sampled_from([*_EXPERIMENTS, "no_such_experiment"]))
         argv.append(name)
@@ -795,6 +851,8 @@ def _cli_argv(draw) -> list[str]:
             argv += ["--" + key.replace("_", "-"), value]
     if command == "experiment" or draw(_NOW_AND_THEN):
         optional.append(_flag("seed", draw(st.integers(-2, 5))))
+    if command != "list" or draw(_NOW_AND_THEN):
+        argv.append("--out={out}")
     if optional:
         argv += draw(st.lists(st.sampled_from(optional), unique=True))
     if draw(st.booleans()) if decides_rank else draw(_NOW_AND_THEN):
@@ -871,19 +929,22 @@ def test_any_invocation_exits_zero_or_two_with_one_line(capfd):
     @seed(1901)
     @settings(max_examples=300, deadline=None, database=None)
     @given(argv=_cli_argv(), signal=_SIGNAL_BYTES)
-    @example(argv=["estimate", "{signal}", "--method=covdet", "--m-range=2:1000000000000"],
+    @example(argv=["estimate", "{signal}", "--method=covdet", "--m-range=2:1000000000000", "--out={out}"],
              signal=_signal_csv([1.0] * 40))
-    @example(argv=["rank", "{signal}", "--n=6", "--policy=gap", "--tol=5.0"], signal=_NOISY_Y5)  # 6 at ratio 1e3
+    @example(argv=["rank", "{signal}", "--n=6", "--policy=gap", "--tol=5.0", "--out={out}"],
+             signal=_NOISY_Y5)  # 6 at ratio 1e3
     # AIC under its floor's clamp and past float range, and a rescaled n x n rank under an absolute cut
-    @example(argv=["estimate", "{signal}", "--method=aic"], signal=_signal_csv(np.ldexp(gen_y5(119).samples, -1000).tolist()))
-    @example(argv=["estimate", "{signal}", "--method=aic"], signal=_signal_csv(np.ldexp(gen_y5(119).samples, 1026).tolist()))
-    @example(argv=["rank", "{signal}", "--n=5", "--policy=absolute", "--tol=1e300"],
+    @example(argv=["estimate", "{signal}", "--method=aic", "--out={out}"],
+             signal=_signal_csv(np.ldexp(gen_y5(119).samples, -1000).tolist()))
+    @example(argv=["estimate", "{signal}", "--method=aic", "--out={out}"],
+             signal=_signal_csv(np.ldexp(gen_y5(119).samples, 1026).tolist()))
+    @example(argv=["rank", "{signal}", "--n=5", "--policy=absolute", "--tol=1e300", "--out={out}"],
              signal=_signal_csv(np.ldexp(gen_y5(40).samples, 1026).tolist()))
     def invoke(argv, signal):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "signal.csv"
             path.write_bytes(signal)
-            argv = [a.replace("{signal}", str(path)) for a in argv] + ["--out", str(Path(tmp) / "out.csv")]
+            argv = [a.replace("{signal}", str(path)).replace("{out}", str(Path(tmp) / "out.csv")) for a in argv]
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")

@@ -430,6 +430,15 @@ class TestCsv:
         with pytest.raises(ValueError, match=rf"bad\.csv:4: bad row '{re.escape(row)}': .* n = 1 "):
             read_signal_csv(path)
 
+    @pytest.mark.parametrize("header", ["n,value,junk", "n,y"])
+    def test_header_other_than_the_two_signal_headers_rejected(self, tmp_path, header):
+        # both used to load, the first dropping its third column, the second a pair without its input
+        path = tmp_path / "odd.csv"
+        path.write_text(f"{header}\n0,1.0{',2.0' * (header.count(',') - 1)}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_signal_csv(path)
+        assert str(info.value) == f"{path}: expected header 'n,value' or 'n,y,u', got {header!r}"
+
     def test_pair_file_needs_numeric_input_column(self, tmp_path):
         path = tmp_path / "pair.csv"
         path.write_text("n,y,u\n0,1.0,0.5\n1,2.0,\n", encoding="utf-8")
@@ -584,7 +593,7 @@ def _reference_read_signal_csv(path):
     if not rows:
         raise ValueError(f"{path}: empty signal file")
     header = [c.strip() for c in rows[0][1].split(",")]
-    if header[:2] not in (["n", "value"], ["n", "y"]):
+    if header not in (["n", "value"], ["n", "y", "u"]):
         raise ValueError(f"{path}: expected header 'n,value' or 'n,y,u', got {rows[0][1]!r}")
     if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
