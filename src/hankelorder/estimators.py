@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .hankel import _windows
-from .rank import ABSOLUTE, EPS, RELATIVE, RankPolicy, _decide, _Decisions
+from .rank import ABSOLUTE, EPS, GAP, RELATIVE, RankPolicy, _decide, _Decisions
 from .signals import Signal, _write_csv
 
 __all__ = [
@@ -52,6 +52,8 @@ METHOD_COVDET = "covariance_determinant"
 # but these crossovers leave n_max < 16 under 16 rows per column dense.
 _TALL_ROWS_PER_COL = 16
 _TALL_N_MAX = 16
+# a sweep tries its Gram path only where every row's last n_max samples reach sqrt(u) max|y|
+_GRAM_TAIL = math.sqrt(EPS / 2)
 # _tall_r's block height, in rows per column, and its group size, in blocks to one LAPACK call
 _TSQR_ROWS_PER_COL = 16
 _TSQR_GROUP = 16
@@ -167,6 +169,10 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     follows (Higham, 2nd ed., Thm. 19.4).  A row whose last sample alone
     fails the test (every noisy row) keeps the stack whole at O(k) cost.
 
+    Three paths decide a sweep: Gram, tall and dense.  The Gram path
+    (``_gram_decisions``, tried first by ``_rank_sweeps`` on "all" sweeps
+    of long rows that no tail rule would cut) needs no points from here;
+    a sweep it cannot certify comes here for the tall or dense path.
     Below, L is the swept length.  Dense path: a zero-copy window view of
     the n x cols Hankel matrices.  Tall path ("all" columns,
     rows = L - n_max + 1 >= 16 n_max, or rows >= n_max >= 16): with
@@ -230,24 +236,155 @@ def _decide_points(points: list, exponents: np.ndarray, policy: RankPolicy | Non
     lengths = [min(shape) for shape, _ in points]
     # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
     spectra = np.zeros((len(points), len(exponents), max(lengths, default=1) + 1))
-    if policy is None:
-        kind, value = RELATIVE, np.array([max(shape) for shape, _ in points])[:, None] * EPS
-    else:
-        kind, value = policy.kind, policy.value
-        if kind == ABSOLUTE:
-            value = np.ldexp(value, -exponents)
     for i, (_, matrices) in enumerate(points):
         spectra[i, :, : lengths[i]] = np.linalg.svd(matrices, compute_uv=False)
+    kind, value = _cut(policy, [shape for shape, _ in points], exponents)
     return _decide(spectra, np.array(lengths, dtype=int)[:, None], kind, value)
+
+
+def _cut(policy: RankPolicy | None, shapes: list, exponents: np.ndarray) -> tuple:
+    """``_decide``'s (kind, value) for a policy at points of these shapes,
+    in the units of rows scaled by 2^-exponents: None is the per-matrix
+    default max(rows, cols) * eps, one value per point, and an absolute
+    cut is scaled with each row."""
+    if policy is None:
+        return RELATIVE, np.array([max(shape) for shape in shapes])[:, None] * EPS
+    if policy.kind == ABSOLUTE:
+        return ABSOLUTE, np.ldexp(policy.value, -exponents)
+    return policy.kind, policy.value
+
+
+def _gram_stack(y: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(grams, norms): the Gram matrices G_n = H_n H_n^T of the "all"
+    sweep points n in ns of a (k, L) stack, L >= 2 m - 1 with m = max(ns),
+    as a (points, k, m, m) array, and each row's ||y||^2.  G_n fills the
+    leading n x n block of its m x m matrix; the rest is 0 off and -1 on
+    the diagonal.
+
+    H_n's row i holds y_i..y_{i+L-n}, so for i <= j and d = j - i,
+    G_n[i, j] is the lag sum t_d = sum_p y_p y_{p+d} less its i first
+    products (head[i, d]) and its n - 1 - j last ones (tail[n - 1 - j, d]).
+    Each t_d is one contiguous dot, O(L m) in all; head[c, d] sums
+    y_p y_{p+d} over p < c, and tail is head of the reversed row."""
+    m, k, size = ns[-1], len(y), y.shape[-1]
+    lags = np.array([[row[: size - d] @ row[d:] for d in range(m)] for row in y])
+    ends = np.concatenate([y[:, : 2 * m - 1], y[:, : -2 * m : -1]])  # each row's head, then its tail reversed
+    sums = np.zeros((2 * k, m, m))
+    np.cumsum(ends[:, : m - 1, None] * _windows(ends, m)[:, : m - 1], axis=1, out=sums[:, 1:])
+    head, tail = sums[:k], sums[k:]
+    i, j = np.indices((m, m))
+    lo, d = np.minimum(i, j), np.abs(i - j)
+    left = ns[:, None, None] - 1 - (lo + d)  # the tail's length, < 0 outside G_n
+    grams = (lags[:, d] - head[:, lo, d])[:, None] - tail[:, np.maximum(left, 0), d]
+    return np.where((left >= 0)[:, None], grams.swapaxes(0, 1), -np.eye(m)), lags[:, 0]
+
+
+def _gram_error(ns: np.ndarray, size: int, m: int, norms: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """delta_n, twice a bound on |lambda_i - sigma_i(H_n)^2| for the
+    eigenvalues lambda that ``np.linalg.eigvalsh`` returns for the m x m
+    matrices of ``_gram_stack`` of rows of L = size samples, each below 1
+    in magnitude, with norms ||y||^2 and largest eigenvalues tops.
+
+    An entry of G_n is a lag sum of at most L products, whose rounding
+    error is at most gamma_L sum_p |y_p y_{p+d}| <= gamma_L ||y||^2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.1, and Cauchy-Schwarz), less two sums of fewer than m products
+    (gamma_m ||y||^2 each) in two subtractions (u times at most
+    3 ||y||^2 each): within 3 gamma_{L+2m} ||y||^2 in all, plus 2^-1074 per
+    product for underflow.  The n x n error E of G_n then has
+    ||E||_2 <= ||E||_F <= n times that.  eigvalsh is backward stable, with
+    an error taken as n^2 u max(lambda_1, 1): the zero blocks keep G_n
+    apart from the padding, whose norm is 1.  By Weyl (Golub & Van Loan,
+    4th ed., Cor. 8.1.6) each lambda_i, sorted, lies within the sum of the
+    two of sigma_i^2; the factor 2 leaves room for the rounding of the
+    certificate's own comparisons."""
+    gamma = (size + 2 * m) * EPS / 2
+    gamma /= 1.0 - gamma
+    entry = 3.0 * gamma * norms + size * math.ldexp(1.0, -1074)
+    return 2.0 * (ns * entry + ns * ns * EPS / 2 * np.maximum(tops, 1.0))
+
+
+def _certified(eigs: np.ndarray, ns: np.ndarray, size: int, norms: np.ndarray, kind: str, value) -> np.ndarray:
+    """(points, k) booleans: whether the threshold decision of each point
+    follows from its Gram eigenvalues eigs, (points, k, m) and
+    non-increasing, at the points ns of rows of L = size samples.  value
+    holds ``_cut``'s value for each point and row.
+
+    With delta_n of ``_gram_error``, each sigma_i^2 lies within
+    [lambda_i - delta_n, lambda_i + delta_n], so the cut c (tau sigma_1
+    for a relative cut) lies between the low and high cut it allows.  A
+    point is certified when as many lambda_i - delta_n clear the high
+    cut^2 as lambda_i + delta_n clear the low one: that count is then the
+    exact number of sigma_i above c.  delta_n < 1 also keeps the -1
+    padding below every real eigenvalue."""
+    tops = eigs[..., 0]
+    delta = _gram_error(ns[:, None], size, eigs.shape[-1], norms, tops)
+    if kind == RELATIVE:
+        low, high = value**2 * np.maximum(tops - delta, 0.0), value**2 * (tops + delta)
+    else:
+        low = high = value**2
+    real = np.arange(eigs.shape[-1]) < ns[:, None, None]
+    sure = ((eigs - delta[..., None] > high[..., None]) & real).sum(-1)
+    possible = ((eigs + delta[..., None] > low[..., None]) & real).sum(-1)
+    return (sure == possible) & (delta < 1.0)
+
+
+def _gram_decisions(samples: np.ndarray, n_max: int, policy: RankPolicy | None, n_min: int) -> _Decisions | None:
+    """The decisions of ``_decide_points`` for the "all" sweep of a
+    (k, L) stack, read off the sweep's Gram eigenvalues where every point
+    of every row is certified (``_certified``), else None.
+
+    Only long rows whose sweeps nothing would cut try it: rows
+    L - n_max + 1 >= 16 n_max, a threshold policy (or None), and in every
+    row max|y[-n_max:]| > sqrt(u) max|y| (so the tail rule of
+    ``_sweep_points`` keeps the row whole), as noise of about 1e-8 max|y|
+    or more keeps it; a clean decaying row leaves after O(n_max) work.
+    Rows are scaled by 2^-e, e the binary exponent of max|y|, so every
+    Gram entry is at most L.  The n_max point is certified first, from
+    one eigvalsh call; the others, from one more, only if it is."""
+    y = np.ascontiguousarray(samples, dtype=float)
+    size = y.shape[-1]
+    if (policy is not None and policy.kind == GAP) or not (
+        y.size and 1 <= n_min <= n_max and size - n_max + 1 >= _TALL_ROWS_PER_COL * n_max
+    ):
+        return None
+    last = np.abs(y[:, -n_max:]).max(axis=-1)
+    # max|y[:n_max]| <= max|y|, so this O(k n_max) test rejects a decayed row before the O(k L) one
+    if not (last > _GRAM_TAIL * np.abs(y[:, :n_max]).max(axis=-1)).all():
+        return None
+    top = np.abs(y).max(axis=-1)
+    if not (last > _GRAM_TAIL * top).all():
+        return None
+    exponents = np.frexp(top)[1]
+    ns = np.arange(n_min, n_max + 1)
+    grams, norms = _gram_stack(np.ldexp(y, -exponents[:, None]), ns)
+    kind, value = _cut(policy, [(n, size - n + 1) for n in ns], exponents)
+    value = np.broadcast_to(value, grams.shape[:2])
+    eigs = np.empty(grams.shape[:-1])
+    eigs[-1] = np.linalg.eigvalsh(grams[-1])[..., ::-1]
+    if not _certified(eigs[-1:], ns[-1:], size, norms, kind, value[-1:]).all():
+        return None
+    if len(ns) > 1:
+        eigs[:-1] = np.linalg.eigvalsh(grams[:-1])[..., ::-1]
+        if not _certified(eigs, ns, size, norms, kind, value).all():
+            return None
+    # the padding's -1 comes last and reads 0, and so does the extra column
+    spectra = np.zeros(eigs.shape[:-1] + (n_max + 1,))
+    np.sqrt(np.maximum(eigs, 0.0), out=spectra[..., :-1])
+    return _decide(spectra, ns[:, None], kind, value)
 
 
 def _rank_sweeps(
     samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
 ) -> list[RankSweep]:
     """The sweep over n = n_min..n_max of each row of a (k, L) stack of
-    finite samples (k may be 0), decided in one pass (``_decide_points``),
-    as one RankSweep per row.  Arguments are checked by ``_sweep_points``."""
-    decided = _decide_points(*_sweep_points(samples, n_max, columns, n_min), policy)
+    finite samples (k may be 0), decided in one pass, as one RankSweep
+    per row: from the Gram eigenvalues where ``_gram_decisions`` certifies
+    the whole sweep, else from the points of ``_sweep_points``
+    (``_decide_points``), which checks the arguments."""
+    decided = _gram_decisions(samples, n_max, policy, n_min) if columns == "all" else None
+    if decided is None:
+        decided = _decide_points(*_sweep_points(samples, n_max, columns, n_min), policy)
     ns = range(n_min, n_max + 1)
     return [
         RankSweep(tuple(map(SweepPoint, ns, r, g, c)))
@@ -310,12 +447,23 @@ def hokalman_order(
     per-matrix relative threshold max(rows, cols) * eps.  A signal whose
     sweep could leave float range is swept as y 2^-e (``_sweep_points``).
 
-    Sweeps with L - n_max + 1 >= 16 n_max rows, or with n_max >= 16 and
-    L - n_max + 1 >= n_max, factor H_{n_max}^T once, by a blocked
-    tall-skinny QR (``_tall_r``), and take each spectrum from a small
-    n_max x n matrix with the same singular values; everything else runs
-    one dense SVD per n.  Both paths give the same ranks on every tested
-    input, though a singular value within rounding of the cut can decide
+    Three paths decide the sweep, tried in this order:
+
+    - Gram (``_gram_decisions``): with L - n_max + 1 >= 16 n_max rows, a
+      threshold policy, and last n_max samples that reach sqrt(u) max|y|
+      (noise of about 1e-8 max|y| or more), n_max lag sums give every H_n H_n^T and one
+      batched ``eigvalsh`` their eigenvalues lambda_i.  Where a Weyl bound
+      certifies every point's rank as the exact one at its cut, the sweep
+      is decided from sigma_i = sqrt(lambda_i), each within a relative
+      delta_n / (2 lambda_i) (``_gram_error``); otherwise a path below runs.
+    - Tall: sweeps with L - n_max + 1 >= 16 n_max rows, or with
+      n_max >= 16 and L - n_max + 1 >= n_max, factor H_{n_max}^T once, by
+      a blocked tall-skinny QR (``_tall_r``), and take each spectrum from
+      a small n_max x n matrix with the same singular values.
+    - Dense: everything else runs one dense SVD per n.
+
+    All give the same ranks on every tested input, though on the tall and
+    dense paths a singular value within rounding of the cut can decide
     differently.  Past the rank, sigma_{r+1} and sigma_min sit at the
     rounding floor, so ``gap`` and ``condition`` there differ between
     the paths by more than the last bits.

@@ -160,6 +160,11 @@ def _force_dense(m) -> None:
     m.setattr(estimators, "_TALL_N_MAX", 10**9)
 
 
+def _force_factored(m) -> None:
+    """Turn the Gram path off, so that long noisy rows are factored."""
+    m.setattr(estimators, "_gram_decisions", lambda *args: None)
+
+
 def _dense_sweep(signal, n_max, policy, monkeypatch):
     with monkeypatch.context() as m:
         _force_dense(m)
@@ -261,6 +266,7 @@ class TestTallSweep:
         n_max, signal = 8, add_noise(gen_y5(200_000), NoiseSpec(1e-6, 0))
         block = estimators._TSQR_ROWS_PER_COL * n_max
         qr, calls = np.linalg.qr, []
+        _force_factored(monkeypatch)
 
         def recording(a, *args, **kwargs):
             calls.append(a.shape)
@@ -282,6 +288,7 @@ class TestTallSweep:
         samples = np.array([add_noise(gen_y5(20_000), NoiseSpec(1e-6, seed)).samples for seed in range(k)])
         block = estimators._TSQR_ROWS_PER_COL * n_max
         qr, calls = np.linalg.qr, []
+        _force_factored(monkeypatch)
 
         def recording(a, *args, **kwargs):
             calls.append(a.shape)
@@ -299,10 +306,11 @@ class TestTallSweep:
         sweeps = estimators._rank_sweeps(np.array([s.samples for s in signals]), 20, "all", None)
         assert [sw.points for sw in sweeps] == [hokalman_order(s, 20)[1].points for s in signals]
 
-    def test_long_sweep_never_copies_the_whole_window_matrix(self):
+    def test_long_sweep_never_copies_the_whole_window_matrix(self, monkeypatch):
         # H_20^T of 2e5 samples holds 30.5 MiB; one QR of it copies all of it.
         # Noisy, so that the sweep factors every sample
         signal = add_noise(gen_y5(200_000), NoiseSpec(1e-6, 0))
+        _force_factored(monkeypatch)
         tracemalloc.start()
         try:
             hokalman_order(signal, 20)
@@ -380,8 +388,14 @@ def _full_sum_swept(stack: np.ndarray, n_max: int) -> int:
     return min(kept + n_max - 1, size)
 
 
-def _dense_ranks(y: np.ndarray, n_max: int) -> list[int]:
-    return [int(np.linalg.matrix_rank(sliding_window_view(y, len(y) - n + 1))) for n in range(2, n_max + 1)]
+def _dense_ranks(y: np.ndarray, n_max: int, policy: RankPolicy | None = None) -> list[int]:
+    """numpy's matrix_rank of each n x (L - n + 1) Hankel matrix at the policy's cut."""
+    hankels = [sliding_window_view(y, len(y) - n + 1) for n in range(2, n_max + 1)]
+    if policy is None:
+        return [int(np.linalg.matrix_rank(h)) for h in hankels]
+    if policy.kind == "relative_threshold":
+        return [int(np.linalg.matrix_rank(h, tol=policy.value * np.linalg.norm(h, 2))) for h in hankels]
+    return [int(np.linalg.matrix_rank(h, tol=policy.value)) for h in hankels]
 
 
 @st.composite
@@ -453,6 +467,7 @@ class TestNegligibleTail:
     def test_one_noisy_row_keeps_the_whole_stack(self, monkeypatch):
         clean, noisy = gen_y5(20_000), add_noise(gen_y5(20_000), NoiseSpec(1e-6, 0))
         stack = np.array([clean.samples, noisy.samples])
+        _force_factored(monkeypatch)  # the noisy row alone would take the Gram path
         want = [hokalman_order(clean, 20)[1].ranks, hokalman_order(noisy, 20)[1].points]
         records = _swept_lengths(monkeypatch)
         tall_r, factored = estimators._tall_r, []
@@ -526,6 +541,130 @@ class TestNegligibleTail:
                 estimators._rank_sweeps(signal.samples[None], 6, "square", None, 6)
         assert len(records) > 100
         assert all(swept == count for count, swept in records)
+
+
+# ---------------------------------------------------------------------------
+# certified Gram sweeps: long noisy rows decided from their lag sums
+
+
+@contextlib.contextmanager
+def _routes():
+    """How many times np.linalg.eigvalsh, np.linalg.svd and _tall_r run
+    while the block runs."""
+    counts = {"eigvalsh": 0, "svd": 0, "_tall_r": 0}
+    with pytest.MonkeyPatch.context() as m:
+        for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "svd"), (estimators, "_tall_r")):
+
+            def counting(*args, _call=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+
+            m.setattr(owner, name, counting)
+        yield counts
+
+
+def _noisy_y5(count: int, amplitude: float = 1e-6, seed: int = 1) -> Signal:
+    return add_noise(gen_y5(count), NoiseSpec(amplitude, seed))
+
+
+def _certified_points(y: np.ndarray, n_max: int) -> tuple[list[int], list[int]]:
+    """(certified n, rank at every n) of the default-cut sweep of one row
+    from its Gram eigenvalues, every point evaluated, without the gate."""
+    size, exponent = len(y), math.frexp(float(np.abs(y).max()))[1]
+    ns = np.arange(2, n_max + 1)
+    grams, norms = estimators._gram_stack(np.ldexp(y, -exponent)[None], ns)
+    eigs = np.linalg.eigvalsh(grams)[..., ::-1]
+    kind, value = estimators._cut(None, [(n, size - n + 1) for n in ns], np.array([exponent]))
+    value = np.broadcast_to(value, grams.shape[:2])
+    certified = estimators._certified(eigs, ns, size, norms, kind, value)[:, 0]
+    spectra = np.sqrt(np.maximum(np.pad(eigs, ((0, 0), (0, 0), (0, 1))), 0.0))
+    ranks = estimators._decide(spectra, ns[:, None], kind, value).rank[:, 0]
+    return ns[certified].tolist(), ranks.tolist()
+
+
+_GRAM_POLICIES = st.one_of(
+    st.none(),
+    st.floats(1e-14, 1e-4).map(RankPolicy.relative),
+    st.floats(1e-10, 1e-2).map(RankPolicy.absolute),
+)
+
+
+@st.composite
+def _gram_inputs(draw):
+    n_max = draw(st.integers(2, 12))
+    size, seed = draw(st.integers(17 * n_max, 1000)), draw(st.integers(0, 2**32 - 1))
+    return _noisy_mode_sum(size, seed), n_max, draw(_GRAM_POLICIES)
+
+
+class TestGramSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(_gram_inputs())
+    @example((_noisy_y5(2000).samples, 20, None))
+    @example((_noisy_y5(1000, 1e-4).samples, 12, RankPolicy.absolute(1e-3)))
+    def test_gram_ranks_equal_the_tall_and_dense_ranks(self, inputs):
+        y, n_max, policy = inputs
+        gram = estimators._gram_decisions(y[None], n_max, policy, 2)
+        event("gram" if gram is not None else "factored")
+        if gram is None:
+            return
+        [sweep] = estimators._rank_sweeps(y[None], n_max, "all", policy)
+        with pytest.MonkeyPatch.context() as m:
+            _force_factored(m)
+            [tall] = estimators._rank_sweeps(y[None], n_max, "all", policy)
+        assert sweep.ranks == gram.rank[:, 0].tolist() == tall.ranks == _dense_ranks(y, n_max, policy)
+
+    @pytest.mark.parametrize("count", [2000, 20_000])
+    def test_the_certificate_is_what_keeps_the_ranks_right(self, count, monkeypatch):
+        # clean y5 fed past the gate: only n = 2 and 3 certify, with the dense ranks
+        y = gen_y5(count).samples
+        dense = _dense_ranks(y, 20)
+        certified, ranks = _certified_points(y, 20)
+        assert certified == [2, 3]
+        assert [ranks[n - 2] for n in certified] == [dense[n - 2] for n in certified]
+        # without the bound, or with a billionth of it, wrong ranks certify
+        error = estimators._gram_error
+        for weakened in (lambda *args: 0.0 * error(*args), lambda *args: 1e-9 * error(*args)):
+            monkeypatch.setattr(estimators, "_gram_error", weakened)
+            certified, ranks = _certified_points(y, 20)
+            assert [n for n in certified if ranks[n - 2] != dense[n - 2]]
+
+    def test_noisy_long_row_is_neither_factored_nor_svd_decomposed(self):
+        signal = _noisy_y5(20_000)
+        with _routes() as calls:
+            _, sweep = hokalman_order(signal, 20)
+        assert calls == {"eigvalsh": 2, "svd": 0, "_tall_r": 0}
+        assert sweep.ranks == list(range(2, 21))
+
+    def test_noise_below_the_certificate_exits_after_the_n_max_point(self):
+        signal = _noisy_y5(20_000, 1e-8)
+        with _routes() as calls:
+            _, sweep = hokalman_order(signal, 20)
+        assert calls == {"eigvalsh": 1, "svd": 19, "_tall_r": 1}
+        assert sweep.ranks == _dense_ranks(signal.samples, 20)
+
+    def test_clean_rows_experiments_and_other_sweeps_never_take_the_gram_path(self, tmp_path):
+        noisy = np.array([_noisy_y5(20_000, seed=seed).samples for seed in range(2)])
+        with _routes() as calls:
+            for count in (2000, 20_000, 200_000):
+                hokalman_order(gen_y5(count), 20)
+            for name, _, _ in list_experiments():
+                run_experiment(ExperimentSpec(name), tmp_path / f"{name}.csv")
+            estimators._rank_sweeps(noisy, 20, "square", None)
+            estimators._rank_sweeps(noisy, 20, "all", RankPolicy.gap())
+            estimators._plateau_onsets(noisy, 20)
+        assert calls["eigvalsh"] == 0 and calls["_tall_r"] > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(-900, 900), st.sampled_from([None, RankPolicy.relative(1e-9)]))
+    @example(900, None)
+    @example(-900, None)
+    def test_rows_scaled_by_a_power_of_two_give_identical_points(self, k, policy):
+        y = _noisy_y5(2000).samples
+        with _routes() as calls:
+            want = hokalman_order(Signal(y), 20, policy)[1].points
+            got = hokalman_order(Signal(np.ldexp(y, k)), 20, policy)[1].points
+        assert got == want
+        assert calls == {"eigvalsh": 4, "svd": 0, "_tall_r": 0}
 
 
 STACK_SIGNALS = [gen_y5(40), add_offset(gen_y5(40), 1.0)] + [
@@ -676,8 +815,34 @@ _SWEEP_POLICIES = st.one_of(
 )
 
 
+def _noisy_mode_sum(size: int, seed: int) -> np.ndarray:
+    """1-4 real or oscillating modes, decaying or not, plus uniform noise
+    of amplitude 1e-9..1e-3: mostly rows whose last samples the noise
+    keeps up, some with noise too small to certify or to pass the gate."""
+    rng = np.random.default_rng(seed)
+    modes = [
+        Mode(
+            float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
+            float(rng.choice([0.0, rng.uniform(0.001, 0.5)])),
+            float(rng.choice([0.0, rng.uniform(0.1, 3.0)])),
+        )
+        for _ in range(rng.integers(1, 5))
+    ]
+    noise = NoiseSpec(float(10.0 ** rng.uniform(-9.0, -3.0)), int(rng.integers(2**32)))
+    return add_noise(gen_mode_sum(ModeSum(modes), size), noise).samples
+
+
 @st.composite
-def _sweep_inputs(draw):
+def _sweep_inputs(draw, gram=False):
+    """A stack, n_max, columns, policy and n_min to sweep.  With gram, a
+    quarter of the draws are stacks of long noisy rows, L >= 17 n_max,
+    which the Gram path decides wherever every point certifies."""
+    if gram and draw(st.integers(0, 3)) == 0:
+        n_max = draw(st.integers(1, 12))
+        size = draw(st.integers(17 * n_max, 400))
+        seeds = [draw(st.integers(0, 2**32 - 1)) for _ in range(draw(st.integers(1, 3)))]
+        samples = np.array([_noisy_mode_sum(size, seed) for seed in seeds])
+        return samples, n_max, "all", draw(_SWEEP_POLICIES), draw(st.integers(1, n_max))
     columns = draw(st.sampled_from(["all", "square"]))
     size = draw(st.integers(1, 40) | st.integers(41, 160))
     # "all" matrices turn wide to tall past n = (L + 1) / 2
@@ -700,7 +865,9 @@ _BETWEEN_CUTS = 0.9 ** np.arange(100.0) + 1e-14 * (-0.8) ** np.arange(100.0)
 def test_one_pass_decision_matches_per_n_decisions_bit_for_bit(inputs):
     samples, n_max, columns, policy, n_min = inputs
     want = _per_n_sweeps(samples, n_max, columns, policy, n_min)
-    sweeps = estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
+    with pytest.MonkeyPatch.context() as m:
+        _force_factored(m)  # the per-n decisions factor; TestGramSweep checks the Gram path
+        sweeps = estimators._rank_sweeps(samples, n_max, columns, policy, n_min)
     got = [[_point_bits(p.n, p.rank, p.decision_gap, p.condition) for p in sweep.points] for sweep in sweeps]
     assert got == [[_point_bits(*point) for point in row] for row in want]
     assert all(type(p.rank) is int and type(p.decision_gap) is float for sweep in sweeps for p in sweep.points)
@@ -753,7 +920,7 @@ def _decided_stacks():
 
 
 @settings(max_examples=400, deadline=None)
-@given(_sweep_inputs())
+@given(_sweep_inputs(gram=True))
 def test_every_stack_a_sweep_decides_is_a_valid_spectrum(inputs):
     samples, n_max, columns, policy, n_min = inputs
     with _decided_stacks() as stacks:
