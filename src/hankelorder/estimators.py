@@ -12,6 +12,7 @@ values well clear of the rounding floor.  The literal n x n layout
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from pathlib import Path
@@ -57,6 +58,8 @@ _GRAM_TAIL = math.sqrt(EPS / 2)
 # _tall_r's block height, in rows per column, and its group size, in blocks to one LAPACK call
 _TSQR_ROWS_PER_COL = 16
 _TSQR_GROUP = 16
+# the tail scan of _tail_start sums the squares in blocks of this many samples
+_TAIL_BLOCK = 1024
 
 # hokalman_order's estimate needs this many equal ranks at the end of the sweep
 _PLATEAU_LEN = 3
@@ -139,11 +142,46 @@ def _tall_r(w: np.ndarray) -> np.ndarray:
     return np.linalg.qr(w, mode="r")
 
 
+def _tail_start(y: np.ndarray, top: np.ndarray, n_max: int) -> int:
+    """K of the tail rule of ``_sweep_points`` for a (..., L) stack with
+    row maxima top: the smallest index >= n_max at which every row has
+    n_max sum_{j >= K} (y_j / top)^2 <= u^2 (n_max when every tail
+    passes, as in an all-zero stack).
+
+    One pass from the end: the scaled squares, reversed and zero-padded
+    to whole blocks of _TAIL_BLOCK samples, are summed block by block;
+    only the first block whose running total crosses u^2 / n_max in some
+    row is summed sample by sample.  The sums are those of one cumulative
+    sum from the end up to rounding, so K can move by a sample only where
+    a tail sum lies within rounding of the bound."""
+    size = y.shape[-1]
+    stack = y.reshape(-1, size)
+    unit = np.where(top > 0.0, top, 1.0).reshape(-1, 1)
+    blocks = -(-size // _TAIL_BLOCK)
+    # squares[:, b, i]: (y_j / top)^2 of sample j = L - 1 - (b _TAIL_BLOCK + i), 0 past the head
+    squares = np.empty((len(stack), blocks, _TAIL_BLOCK))
+    flat = squares.reshape(len(stack), blocks * _TAIL_BLOCK)
+    np.divide(stack[:, ::-1], unit, out=flat[:, :size])
+    flat[:, size:] = 0.0
+    np.square(flat, out=flat)
+    totals = np.cumsum(squares.sum(axis=-1), axis=-1)
+    bound = (EPS / 2) ** 2
+    passed = int(np.searchsorted(totals.max(axis=0, initial=0.0) * n_max, bound, side="right"))
+    if passed == blocks:
+        return n_max
+    inside = np.cumsum(squares[:, passed], axis=-1)
+    if passed:
+        inside += totals[:, passed - 1, None]
+    count = passed * _TAIL_BLOCK + int(np.searchsorted(inside.max(axis=0, initial=0.0) * n_max, bound, side="right"))
+    return max(n_max, size - count)
+
+
 def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2) -> tuple[list, np.ndarray]:
     """(points, exponents) of the sweep n = n_min..n_max of a (k, L) stack,
     after checking the arguments.  Each point is (shape, matrices): shape
     is that of the n-row sweep matrix, and matrices holds, for each
-    signal, a matrix with its singular values.  n_max must be >= 2,
+    signal, a matrix whose first min(shape) singular values are those of
+    the sweep matrix (any others are 0).  n_max must be >= 2,
     except for the one-point sweep n_min = n_max = 1.  "square" sweeps
     need L >= 2 n_max - 1; "all" sweeps need only L >= n_max, so their
     n x (L - n + 1) matrices turn wide to tall past n = (L + 1) / 2 (the
@@ -160,14 +198,15 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
 
     Tail ("all" sweeps): K is the smallest index >= n_max at which every
     row has n_max sum_{j >= K} (y_j / top)^2 <= u^2, top = max|y| of the
-    row, u = eps / 2.  When K + n_max - 1 < L the sweep runs on y[:K] and
-    n_max - 1 zeros, whose matrices are those of y with y[K:] = 0 up to
-    zero rows and columns; shapes stay the full ones.  Each sample appears
-    at most n_max times in H_n, and sigma_1(H_n) >= top, so by Weyl
-    (Golub & Van Loan, 4th ed., Cor. 8.6.2) no singular value moves by
-    more than u sigma_1, below the backward error of the QR or SVD that
-    follows (Higham, 2nd ed., Thm. 19.4).  A row whose last sample alone
-    fails the test (every noisy row) keeps the stack whole at O(k) cost.
+    row, u = eps / 2 (``_tail_start``).  When K + n_max - 1 < L the sweep
+    runs on y[:K] and n_max - 1 zeros, whose matrices are those of y with
+    y[K:] = 0 up to zero rows and columns; shapes stay the full ones.
+    Each sample appears at most n_max times in H_n, and sigma_1(H_n) >=
+    top, so by Weyl (Golub & Van Loan, 4th ed., Cor. 8.6.2) no singular
+    value moves by more than u sigma_1, below the backward error of the
+    QR or SVD that follows (Higham, 2nd ed., Thm. 19.4).  A row whose
+    last sample alone fails the test (every noisy row) keeps the stack
+    whole at O(k) cost.
 
     Three paths decide a sweep: Gram, tall and dense.  The Gram path
     (``_gram_decisions``, tried first by ``_rank_sweeps`` on "all" sweeps
@@ -183,7 +222,12 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     n columns, and row order does not change singular values, so H_n
     shares its singular values with the n_max x n zero-copy view
     z[..., n - 1 : n - 1 + n_max, :n] of z = [E_{n_max-2}; ...; E_0; R],
-    built once: its rows are E_{n_max-n-1}..E_0 and R[:n].
+    built once: its rows are E_{n_max-n-1}..E_0 and R[:n].  In a cut
+    sweep every E_i lies in the n_max - 1 zeros, so H_n shares its
+    singular values with R[:n, :n] alone (Chan, ACM TOMS 8(1), 1982):
+    each point is R masked to that leading block and zero-padded to
+    ceil(n_max / 2) or n_max square, two shapes that ``_decide_points``
+    decomposes in one LAPACK call each.
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -199,25 +243,28 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     # 16 leaves room for rounding
     past = top >= sys.float_info.max / 16 / math.sqrt(n_max * size)
     exponents = np.where(past, np.frexp(top)[1], 0)
+    cut = False
     # the tail test on the last sample alone, which fails in every noisy row
     if columns == "all" and not (np.abs(y[..., -1]) > EPS / 2 / math.sqrt(n_max) * top).any():
-        unit = np.where(top > 0.0, top, 1.0)[..., None]
-        # tails[m]: n_max times the largest row sum of the last m + 1 squares, summed in place
-        tails = np.square(y[..., ::-1] / unit).reshape(-1, size)
-        tails = np.cumsum(tails, axis=-1, out=tails).max(axis=0, initial=0.0) * n_max
-        kept = max(n_max, size - int(np.searchsorted(tails, (EPS / 2) ** 2, side="right")))
-        if kept + n_max - 1 < size:
+        kept = _tail_start(y, top, n_max)
+        cut = kept + n_max - 1 < size
+        if cut:
             y = np.concatenate([y[..., :kept], np.zeros(y.shape[:-1] + (n_max - 1,))], axis=-1)
     if past.any():
         y = np.ldexp(y, -exponents[..., None])
     length = y.shape[-1]
     rows = length - n_max + 1
+    ns = range(n_min, n_max + 1)
+    tall = columns == "all" and (rows >= _TALL_ROWS_PER_COL * n_max or rows >= n_max >= _TALL_N_MAX)
+    if tall:
+        r = _tall_r(_windows(y, n_max))
+        if cut:
+            return _leading_blocks(r, ns, size), exponents
     # padded[..., k] = y[..., k] for k < length and 0 beyond, so windows may run past the end
     padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
-    ns = range(n_min, n_max + 1)
-    if columns == "all" and (rows >= _TALL_ROWS_PER_COL * n_max or rows >= n_max >= _TALL_N_MAX):
+    if tall:
         trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
-        z = np.concatenate([trailing[..., ::-1, :], _tall_r(_windows(y, n_max))], axis=-2)
+        z = np.concatenate([trailing[..., ::-1, :], r], axis=-2)
         return [((n, size - n + 1), z[..., n - 1 : n - 1 + n_max, :n]) for n in ns], exponents
     windows = _windows(padded, length)  # windows[..., i, j] = y[..., i + j] while i + j < length
     if columns == "square":
@@ -225,19 +272,48 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     return [((n, size - n + 1), windows[..., :n, : length - n + 1]) for n in ns], exponents
 
 
+def _leading_blocks(r: np.ndarray, ns: range, size: int) -> list:
+    """The points of a cut tall sweep of rows of L = size samples, from
+    the (..., n_max, n_max) R factor of its window matrix: R masked to
+    its leading n x n block, in a p x p matrix, p = ceil(n_max / 2) for
+    n <= p and n_max beyond; its other singular values are 0."""
+    n_max = r.shape[-1]
+    half = (n_max + 1) // 2
+    points = []
+    for group, p in ((range(ns.start, half + 1), half), (range(max(ns.start, half + 1), ns.stop), n_max)):
+        if group:
+            # R is upper triangular, so keeping its first n columns keeps only its leading n x n block
+            lead = np.arange(p) < np.arange(group.start, group.stop).reshape((-1,) + (1,) * r.ndim)
+            blocks = np.where(lead, r[..., :p, :p], 0.0)
+            points += [((n, size - n + 1), matrices) for n, matrices in zip(group, blocks)]
+    return points
+
+
 def _decide_points(points: list, exponents: np.ndarray, policy: RankPolicy | None = None) -> _Decisions:
     """The decisions, arrays of shape (points, k), at the points of
     ``_sweep_points`` of k rows scaled by 2^-exponents: one LAPACK SVD
-    call per point for the whole stack (each matrix gets bit for bit the
-    singular values of a call on it alone), then one ``_decide`` call on
-    all spectra, zero-padded into a (points, k, m_max + 1) array; column
+    call for the whole stack per run of consecutive points whose
+    matrices share a shape (each matrix gets bit for bit the singular
+    values of a call on it alone; only a cut tall sweep has such runs),
+    then one ``_decide`` call on the first min(shape) singular values of
+    every point, zero-padded into a (points, k, m_max + 1) array; column
     j is row j's sweep.  ``policy`` None means the per-matrix default cut
     max(rows, cols) * eps."""
     lengths = [min(shape) for shape, _ in points]
     # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
     spectra = np.zeros((len(points), len(exponents), max(lengths, default=1) + 1))
-    for i, (_, matrices) in enumerate(points):
-        spectra[i, :, : lengths[i]] = np.linalg.svd(matrices, compute_uv=False)
+    start = 0
+    for stop in range(1, len(points) + 1):
+        if stop < len(points) and points[stop][1].shape == points[start][1].shape:
+            continue
+        if stop - start == 1:  # as it is, without the copy np.stack makes
+            values = np.linalg.svd(points[start][1], compute_uv=False)
+            spectra[start, :, : lengths[start]] = values[..., : lengths[start]]
+        else:
+            values = np.linalg.svd(np.stack([matrices for _, matrices in points[start:stop]]), compute_uv=False)
+            for i, v in enumerate(values, start):
+                spectra[i, :, : lengths[i]] = v[..., : lengths[i]]
+        start = stop
     kind, value = _cut(policy, [shape for shape, _ in points], exponents)
     return _decide(spectra, np.array(lengths, dtype=int)[:, None], kind, value)
 
@@ -254,29 +330,53 @@ def _cut(policy: RankPolicy | None, shapes: list, exponents: np.ndarray) -> tupl
     return policy.kind, policy.value
 
 
+# two entries of 24 (points) m^2 bytes each: 0.2 MB at m = 20, 5 MB at m = 60
+@functools.lru_cache(maxsize=2)
+def _gram_index(n_min: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c), each (points, m, m) and read-only: where ``_gram_stack``
+    reads entry [i, j] of each G_n, n = n_min..m, in a row of its table
+    [lags (m) | head (m x m) | tail (m x m) | 1] as (a - b) - c.  Inside
+    G_n that is t_d - head[lo, d] - tail[n - 1 - j', d], lo = min(i, j),
+    d = |i - j|, j' = max(i, j); outside it, (0 - 0) - 1 on the diagonal
+    and (0 - 0) - 0 off it, both 0s being head[0, 0]."""
+    i, j = np.indices((m, m))
+    lo, d = np.minimum(i, j), np.abs(i - j)
+    left = np.arange(n_min, m + 1)[:, None, None] - 1 - np.maximum(i, j)  # the tail's length, < 0 outside G_n
+    inside = left >= 0
+    zero, one = m, m + 2 * m * m
+    a = np.where(inside, d, zero)
+    b = np.where(inside, m + lo * m + d, zero)
+    c = np.where(inside, m + m * m + left * m + d, np.where(i == j, one, zero))
+    for index in (a, b, c):
+        index.flags.writeable = False
+    return a, b, c
+
+
 def _gram_stack(y: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(grams, norms): the Gram matrices G_n = H_n H_n^T of the "all"
-    sweep points n in ns of a (k, L) stack, L >= 2 m - 1 with m = max(ns),
-    as a (points, k, m, m) array, and each row's ||y||^2.  G_n fills the
-    leading n x n block of its m x m matrix; the rest is 0 off and -1 on
-    the diagonal.
+    sweep points n in ns, consecutive, of a (k, L) stack, L >= 2 m - 1
+    with m = max(ns), as a (points, k, m, m) array, and each row's
+    ||y||^2.  G_n fills the leading n x n block of its m x m matrix; the
+    rest is 0 off and -1 on the diagonal.
 
     H_n's row i holds y_i..y_{i+L-n}, so for i <= j and d = j - i,
     G_n[i, j] is the lag sum t_d = sum_p y_p y_{p+d} less its i first
     products (head[i, d]) and its n - 1 - j last ones (tail[n - 1 - j, d]).
     Each t_d is one contiguous dot, O(L m) in all; head[c, d] sums
-    y_p y_{p+d} over p < c, and tail is head of the reversed row."""
+    y_p y_{p+d} over p < c, and tail is head of the reversed row.  Each
+    row's t, head, tail and a 1 form one table row, which the flat
+    indices of ``_gram_index`` gather into every G_n."""
     m, k, size = ns[-1], len(y), y.shape[-1]
-    lags = np.array([[row[: size - d] @ row[d:] for d in range(m)] for row in y])
-    ends = np.concatenate([y[:, : 2 * m - 1], y[:, : -2 * m : -1]])  # each row's head, then its tail reversed
-    sums = np.zeros((2 * k, m, m))
-    np.cumsum(ends[:, : m - 1, None] * _windows(ends, m)[:, : m - 1], axis=1, out=sums[:, 1:])
-    head, tail = sums[:k], sums[k:]
-    i, j = np.indices((m, m))
-    lo, d = np.minimum(i, j), np.abs(i - j)
-    left = ns[:, None, None] - 1 - (lo + d)  # the tail's length, < 0 outside G_n
-    grams = (lags[:, d] - head[:, lo, d])[:, None] - tail[:, np.maximum(left, 0), d]
-    return np.where((left >= 0)[:, None], grams.swapaxes(0, 1), -np.eye(m)), lags[:, 0]
+    table = np.zeros((k, m + 2 * m * m + 1))
+    table[:, :m] = [[row[: size - d] @ row[d:] for d in range(m)] for row in y]
+    table[:, -1] = 1.0
+    ends = np.stack([y[:, : 2 * m - 1], y[:, : -2 * m : -1]])  # each row's head, then its tail reversed
+    # sums[0] is head and sums[1] tail, both (k, m, m) views of the table
+    sums = table[:, m:-1].reshape(k, 2, m, m).swapaxes(0, 1)
+    np.cumsum(ends[..., : m - 1, None] * _windows(ends, m)[..., : m - 1, :], axis=2, out=sums[:, :, 1:])
+    a, b, c = _gram_index(int(ns[0]), int(m))
+    grams = (np.take(table, a, axis=1) - np.take(table, b, axis=1)) - np.take(table, c, axis=1)
+    return grams.swapaxes(0, 1), table[:, 0]
 
 
 def _gram_error(ns: np.ndarray, size: int, m: int, norms: np.ndarray, tops: np.ndarray) -> np.ndarray:
@@ -459,7 +559,10 @@ def hokalman_order(
     - Tall: sweeps with L - n_max + 1 >= 16 n_max rows, or with
       n_max >= 16 and L - n_max + 1 >= n_max, factor H_{n_max}^T once, by
       a blocked tall-skinny QR (``_tall_r``), and take each spectrum from
-      a small n_max x n matrix with the same singular values.
+      a small n_max x n matrix with the same singular values.  Where the
+      tail rule below cuts the sweep, that matrix is R's leading n x n
+      block, zero-padded to one of two sizes, so that one LAPACK call
+      decomposes every point of a size.
     - Dense: everything else runs one dense SVD per n.
 
     All give the same ranks on every tested input, though on the tall and
@@ -471,7 +574,9 @@ def hokalman_order(
     A decaying tail below one rounding unit of sigma_1 is not factored
     (``_sweep_points``): a clean ``gen_y5`` sweep to n_max = 20 factors
     2,802 rows at any longer L.  There, too, ``gap`` and ``condition``
-    past the rank read the rounding floor, that of the kept head.
+    past the rank read the rounding floor, that of the kept head's
+    leading R blocks, so they differ by more than the last bits from
+    those of the n_max x n matrices an uncut sweep decomposes.
     """
     _check_sweep_length(len(signal), n_max)
     [sweep] = _rank_sweeps(signal.samples[None], n_max, "all", policy)

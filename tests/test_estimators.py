@@ -182,7 +182,7 @@ class TestTallSweep:
         points, _ = estimators._sweep_points(y, n_max, "all")
         for (n, _), small in points:
             dense = np.linalg.svd(hankels[n], compute_uv=False)
-            tall = np.linalg.svd(small, compute_uv=False)
+            tall = np.linalg.svd(small, compute_uv=False)[:n]
             assert np.max(np.abs(tall - dense)) <= 1e-13 * dense[0], n
         for policy in POLICIES:
             _, tall = hokalman_order(signal, n_max, policy)
@@ -357,18 +357,24 @@ class TestTallSweep:
 
 
 def _swept_lengths(monkeypatch) -> list:
-    """Record (L, swept length) for each sweep of the kernel.  Both of its
-    paths window the swept samples padded with n_max zeros, the longest
-    array a sweep windows, so the swept length is that array's length
-    less n_max: L, unless a negligible tail was cut."""
-    sweep_points, windows, records = estimators._sweep_points, estimators._windows, []
+    """Record (L, swept length) for each sweep of the kernel: L, unless
+    ``_tail_start`` returned a K with K + n_max - 1 < L, which cuts the
+    sweep to y[:K] and n_max - 1 zeros."""
+    sweep_points, tail_start, records = estimators._sweep_points, estimators._tail_start, []
 
     def recording(samples, n_max, *args):
-        seen = []
+        size = np.shape(samples)[-1]
+        swept = [size]
+
+        def recording_tail(*tail_args):
+            start = tail_start(*tail_args)
+            swept.append(min(start + n_max - 1, size))
+            return start
+
         with monkeypatch.context() as m:
-            m.setattr(estimators, "_windows", lambda x, width: seen.append(x.shape[-1]) or windows(x, width))
+            m.setattr(estimators, "_tail_start", recording_tail)
             points = sweep_points(samples, n_max, *args)
-        records.append((np.shape(samples)[-1], max(seen) - n_max))
+        records.append((size, swept[-1]))
         return points
 
     monkeypatch.setattr(estimators, "_sweep_points", recording)
@@ -450,7 +456,7 @@ class TestNegligibleTail:
             full = np.linalg.svd(sliding_window_view(y, cols), compute_uv=False)
             # the tall path's tolerance, plus what the cut tail can move
             tol = (1e-13 + EPS / 2) * full[0]
-            assert np.all(np.abs(np.linalg.svd(matrix, compute_uv=False) - full) <= tol), n
+            assert np.all(np.abs(np.linalg.svd(matrix, compute_uv=False)[: len(full)] - full) <= tol), n
             cut = max(n, cols) * EPS * full[0]
             if np.all(np.abs(full - cut) > tol):
                 assert point.rank == np.count_nonzero(full > cut), n
@@ -541,6 +547,117 @@ class TestNegligibleTail:
                 estimators._rank_sweeps(signal.samples[None], 6, "square", None, 6)
         assert len(records) > 100
         assert all(swept == count for count, swept in records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_decaying_inputs(), min_size=1, max_size=3))
+    def test_one_pass_scan_keeps_what_the_full_tail_sums_keep(self, inputs):
+        # each L is at least 2 n_max - 1 of its own draw, so of the smallest n_max
+        n_max = min(n for _, n in inputs)
+        size = min(len(signal) for signal, _ in inputs)
+        stack = np.array([signal.samples[:size] for signal, _ in inputs])
+        with pytest.MonkeyPatch.context() as m:
+            records = _swept_lengths(m)
+            estimators._sweep_points(stack, n_max, "all")
+        assert records == [(size, _full_sum_swept(stack, n_max))]
+
+    @pytest.mark.parametrize("head", [1000, 1023, 1024, 1025, 2048, 4090, 4999])
+    def test_scan_finds_a_zero_tail_next_to_its_block_boundaries(self, head):
+        # blocks of 1,024 samples count from the end, so 5,000 samples end in a partial block
+        y = np.zeros((2, 5000))
+        y[0, :head] = np.random.default_rng(head).standard_normal(head)
+        y[1, : head // 2] = 1.0
+        n_max = 10
+        kept = estimators._tail_start(y, np.abs(y).max(axis=-1), n_max)
+        assert kept == head
+        assert min(kept + n_max - 1, 5000) == _full_sum_swept(y, n_max)
+
+    @pytest.mark.parametrize("crossing", [700.5, 1024.5, 2500.5, 4000.5])
+    def test_scan_carries_the_sum_of_the_blocks_it_passed(self, crossing):
+        # a flat tail whose last m squares sum to m / crossing of u^2 / n_max
+        n_max = 10
+        y = np.full(5000, EPS / 2 / math.sqrt(n_max * crossing))
+        y[:50] = 1.0
+        kept = estimators._tail_start(y[None], np.ones(1), n_max)
+        assert kept == 5000 - int(crossing)
+        assert kept + n_max - 1 == _full_sum_swept(y[None], n_max)
+
+
+# ---------------------------------------------------------------------------
+# cut tall sweeps: every point from the leading blocks of one R factor
+
+
+class TestLeadingBlocks:
+    @pytest.mark.parametrize("count", [20_000, 200_000])
+    def test_cut_clean_row_factors_once_and_runs_two_svd_calls(self, count):
+        signal = gen_y5(count)
+        with _routes() as calls:
+            _, sweep = hokalman_order(signal, 20)
+        assert calls == {"eigvalsh": 0, "svd": 2, "_tall_r": 1}
+        if count == 20_000:
+            assert sweep.ranks == _dense_ranks(signal.samples, 20)
+
+    def test_uncut_tall_rows_keep_one_svd_per_point(self):
+        fig4 = gen_high_order("sinusoid", 50, 119, 1)  # fig4's signal, swept to n_max = 60
+        with _routes() as calls:
+            hokalman_order(fig4, 60)
+        assert calls == {"eigvalsh": 0, "svd": 59, "_tall_r": 1}
+        # a long undamped row is never cut; its Gram sweep fails the certificate at n_max
+        signal = gen_mode_sum(ModeSum([Mode(1.0, 0.0, 0.3)]), 20_000)
+        with _routes() as calls:
+            _, sweep = hokalman_order(signal, 20)
+        assert calls == {"eigvalsh": 1, "svd": 19, "_tall_r": 1}
+        assert sweep.ranks == [2] * 19
+
+    def test_points_are_leading_blocks_of_at_most_two_sizes(self):
+        n_max = 20
+        points, _ = estimators._sweep_points(gen_y5(20_000).samples[None], n_max, "all")
+        r = points[-1][1][0]
+        assert np.array_equal(r, np.triu(r))
+        for (n, cols), matrices in points:
+            size = 10 if n <= 10 else 20
+            assert cols == 20_001 - n and matrices.shape == (1, size, size)
+            block = np.zeros((size, size))
+            block[:n, :n] = r[:n, :n]
+            assert np.array_equal(matrices[0], block)
+
+    def test_all_zero_long_row_reads_rank_zero(self):
+        with _routes() as calls:
+            _, sweep = hokalman_order(Signal(np.zeros(20_000)), 20)
+        assert calls == {"eigvalsh": 0, "svd": 2, "_tall_r": 1}
+        assert all((p.rank, p.decision_gap, p.condition) == (0, math.inf, math.inf) for p in sweep.points)
+
+    def test_empty_stack(self):
+        empty = np.empty((0, 20_000))
+        points, exponents = estimators._sweep_points(empty, 20, "all")
+        assert [matrices.shape for _, matrices in points] == [(0, 10, 10)] * 9 + [(0, 20, 20)] * 10
+        assert exponents.shape == (0,)
+        assert estimators._rank_sweeps(empty, 20, "all", None) == []
+        assert estimators._plateau_onsets(empty, 20) == []
+
+    def test_cut_row_past_the_float_bound_reads_the_points_of_the_unscaled_row(self):
+        y = gen_y5(20_000).samples
+        big = np.ldexp(y, 1026)  # 8.9e307, swept as y 2^3
+        for policy in POLICIES:
+            with _routes() as calls:
+                got = hokalman_order(Signal(big), 20, policy)[1].points
+            assert calls == {"eigvalsh": 0, "svd": 2, "_tall_r": 1}
+            scaled = policy if policy is None or policy.kind != "absolute_threshold" else RankPolicy.absolute(1e-8 * 2.0**-1026)
+            assert got == hokalman_order(Signal(y), 20, scaled)[1].points
+
+    def test_plateau_onsets_of_cut_rows_equal_the_onsets_of_full_sweeps(self, monkeypatch):
+        stack = np.array(
+            [
+                gen_y5(20_000).samples,
+                gen_mode_sum(ModeSum([Mode(1.0, 0.05), Mode(-2.0, 0.3, 1.0)]), 20_000).samples,
+                np.zeros(20_000),
+                gen_mode_sum(ModeSum([Mode(1.0, 0.01)]), 20_000).samples,
+            ]
+        )
+        records = _swept_lengths(monkeypatch)
+        want = [reference_onset(sweep) for sweep in estimators._rank_sweeps(stack, 20, "all", None)]
+        assert estimators._plateau_onsets(stack, 20) == want == [5, 3, 2, 2]
+        # the slowest decay keeps the longest head, 4,020 samples and 19 zeros
+        assert records == [(20_000, 4039)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +883,7 @@ def _per_n_sweeps(samples, n_max, columns, policy, n_min):
     scaled = np.array([np.ldexp(y, -e) for y, e in zip(samples, exponents)]).reshape(samples.shape)
     points = [[] for _ in range(len(samples))]
     for shape, matrices in estimators._sweep_points(scaled, n_max, columns, n_min)[0]:
-        spectra = np.linalg.svd(matrices, compute_uv=False)
+        spectra = np.linalg.svd(matrices, compute_uv=False)[..., : min(shape)]
         cut = policy or default_policy(shape)
         values = [math.ldexp(cut.value, -e) if cut.kind == "absolute_threshold" else cut.value for e in exponents]
         for row, decision in zip(points, _per_row_decide(spectra, cut.kind, values)):
