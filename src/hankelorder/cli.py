@@ -252,10 +252,10 @@ def _cmd_experiment(args, extras: list[str]) -> int:
     overrides: dict = {}
     i = 0
     while i < len(extras):
-        token = extras[i]
-        if not token.startswith("--") or i + 1 >= len(extras):
+        token, value = extras[i], extras[i + 1] if i + 1 < len(extras) else None
+        if not token.startswith("--") or "=" in token or value is None or value.startswith("--"):
             raise ValueError(f"cannot parse experiment override {token!r}; use --key value")
-        overrides[token[2:].replace("-", "_")] = _parse_override(extras[i + 1])
+        overrides[token[2:].replace("-", "_")] = _parse_override(value)
         i += 2
     spec = ExperimentSpec(args.name, overrides, args.seed)
     out = args.out or Path(f"{args.name}.csv")

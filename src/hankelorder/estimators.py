@@ -143,8 +143,8 @@ def _tall_r(w: np.ndarray) -> np.ndarray:
 
 
 def _tail_start(y: np.ndarray, top: np.ndarray, n_max: int) -> int:
-    """K of the tail rule of ``_sweep_points`` for a (..., L) stack with
-    row maxima top: the smallest index >= n_max at which every row has
+    """K of the tail rule of ``_route`` for a (..., L) stack with row
+    maxima top: the smallest index >= n_max at which every row has
     n_max sum_{j >= K} (y_j / top)^2 <= u^2 (n_max when every tail
     passes, as in an all-zero stack).
 
@@ -176,17 +176,32 @@ def _tail_start(y: np.ndarray, top: np.ndarray, n_max: int) -> int:
     return max(n_max, size - count)
 
 
-def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2) -> tuple[list, np.ndarray]:
-    """(points, exponents) of the sweep n = n_min..n_max of a (k, L) stack,
-    after checking the arguments.  Each point is (shape, matrices): shape
-    is that of the n-row sweep matrix, and matrices holds, for each
-    signal, a matrix whose first min(shape) singular values are those of
-    the sweep matrix (any others are 0).  n_max must be >= 2,
-    except for the one-point sweep n_min = n_max = 1.  "square" sweeps
-    need L >= 2 n_max - 1; "all" sweeps need only L >= n_max, so their
-    n x (L - n + 1) matrices turn wide to tall past n = (L + 1) / 2 (the
-    plateau rule of ``hokalman_order`` needs the 2 n_max - 1 of
-    ``_check_sweep_length``).
+class _Route(NamedTuple):
+    path: str
+    y: np.ndarray
+    top: np.ndarray
+    exponents: np.ndarray
+    kept: int
+
+
+def _route(samples: np.ndarray, n_max: int, columns: str, n_min: int) -> _Route:
+    """The path of the sweep n = n_min..n_max of a (k, L) stack y, with
+    y as one float array, each row's max|y| (top), the exponents of the
+    scale below and the K of the tail rule (L where it does not cut):
+    the one place that checks the arguments, tests the gates and reads
+    max|y|.  n_max must be >= 2, except for the one-point sweep
+    n_min = n_max = 1.  "square" sweeps need L >= 2 n_max - 1; "all"
+    sweeps need only L >= n_max, so their n x (L - n + 1) matrices turn
+    wide to tall past n = (L + 1) / 2 (the plateau rule of
+    ``hokalman_order`` needs the 2 n_max - 1 of ``_check_sweep_length``).
+
+    The paths, in the order tried, with rows = L - n_max + 1 for the
+    swept length L: "square" for "square" sweeps; "gram" where
+    rows >= 16 n_max and every row has max|y[-n_max:]| > sqrt(u) max|y|
+    (``_sweep``); "cut", a tall sweep that the tail rule below cuts;
+    "tall" where rows >= 16 n_max or rows >= n_max >= 16; else "dense".
+    A "gram" row's last n_max samples alone fail the tail rule, so a
+    "gram" sweep is never cut.
 
     Scale: each row whose bound on every sweep sigma_1,
     max|y| sqrt(n_max L), reaches float_max / 16 is swept as y 2^-e, e
@@ -194,7 +209,8 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     exponents are 0 for the rows swept as they are.  Past the bound no
     SVD, QR or R factor can leave float range; the scale is exact, ranks,
     gaps and conditions are ratios it does not change, and an absolute
-    cut is scaled with the row (``_decide_points``).
+    cut is scaled with the row (``_decide_points``); ``_gram_decisions``
+    scales every row.
 
     Tail ("all" sweeps): K is the smallest index >= n_max at which every
     row has n_max sum_{j >= K} (y_j / top)^2 <= u^2, top = max|y| of the
@@ -207,27 +223,6 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
     QR or SVD that follows (Higham, 2nd ed., Thm. 19.4).  A row whose
     last sample alone fails the test (every noisy row) keeps the stack
     whole at O(k) cost.
-
-    Three paths decide a sweep: Gram, tall and dense.  The Gram path
-    (``_gram_decisions``, tried first by ``_rank_sweeps`` on "all" sweeps
-    of long rows that no tail rule would cut) needs no points from here;
-    a sweep it cannot certify comes here for the tall or dense path.
-    Below, L is the swept length.  Dense path: a zero-copy window view of
-    the n x cols Hankel matrices.  Tall path ("all" columns,
-    rows = L - n_max + 1 >= 16 n_max, or rows >= n_max >= 16): with
-    W = H_{n_max}^T = QR (R from the blocked reduction of ``_tall_r``),
-    H_n^T stacks W[:, :n] on the n_max - n trailing windows
-    E_0..E_{n_max-n-1} (E_i starts at sample rows + i).
-    Q has orthonormal columns, R's rows from n on are zero in its first
-    n columns, and row order does not change singular values, so H_n
-    shares its singular values with the n_max x n zero-copy view
-    z[..., n - 1 : n - 1 + n_max, :n] of z = [E_{n_max-2}; ...; E_0; R],
-    built once: its rows are E_{n_max-n-1}..E_0 and R[:n].  In a cut
-    sweep every E_i lies in the n_max - 1 zeros, so H_n shares its
-    singular values with R[:n, :n] alone (Chan, ACM TOMS 8(1), 1982):
-    each point is R masked to that leading block and zero-padded to
-    ceil(n_max / 2) or n_max square, two shapes that ``_decide_points``
-    decomposes in one LAPACK call each.
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -241,80 +236,102 @@ def _sweep_points(samples: np.ndarray, n_max: int, columns: str, n_min: int = 2)
         raise ValueError(f"signal has {size} samples but a sweep to n = {n_max} requires at least {n_max}")
     top = np.abs(y).max(axis=-1, initial=0.0)
     # 16 leaves room for rounding
-    past = top >= sys.float_info.max / 16 / math.sqrt(n_max * size)
-    exponents = np.where(past, np.frexp(top)[1], 0)
-    cut = False
+    exponents = np.where(top >= sys.float_info.max / 16 / math.sqrt(n_max * size), np.frexp(top)[1], 0)
+    rows, kept = size - n_max + 1, size
+    if columns == "square":
+        return _Route("square", y, top, exponents, kept)
+    gram = rows >= _TALL_ROWS_PER_COL * n_max and y.size and n_min <= n_max
+    if gram and (np.abs(y[..., -n_max:]).max(axis=-1) > _GRAM_TAIL * top).all():
+        return _Route("gram", y, top, exponents, kept)
     # the tail test on the last sample alone, which fails in every noisy row
-    if columns == "all" and not (np.abs(y[..., -1]) > EPS / 2 / math.sqrt(n_max) * top).any():
-        kept = _tail_start(y, top, n_max)
-        cut = kept + n_max - 1 < size
-        if cut:
-            y = np.concatenate([y[..., :kept], np.zeros(y.shape[:-1] + (n_max - 1,))], axis=-1)
-    if past.any():
-        y = np.ldexp(y, -exponents[..., None])
+    scan = not (np.abs(y[..., -1]) > EPS / 2 / math.sqrt(n_max) * top).any()
+    if scan and (start := _tail_start(y, top, n_max)) < rows:  # K + n_max - 1 < L: cut
+        rows = kept = start
+    if rows >= _TALL_ROWS_PER_COL * n_max or rows >= n_max >= _TALL_N_MAX:
+        return _Route("cut" if kept < size else "tall", y, top, exponents, kept)
+    return _Route("dense", y, top, exponents, kept)
+
+
+def _sweep_points(route: _Route, n_max: int, n_min: int) -> list:
+    """The points of the sweep n = n_min..n_max on the path ``_route``
+    names ("gram", "cut", "tall" or "dense", tried in that order, or
+    "square"; "gram" is swept "tall"), in (shapes, stack) groups:
+    stack[i] holds, for each signal, a matrix whose first min(shapes[i])
+    singular values are those of point i's n-row sweep matrix (any others
+    are 0).  Each point is a group of its own, except on the "cut" path.
+
+    Below, L is the swept length.  Dense path: a zero-copy window view of
+    the n x cols Hankel matrices.  Tall path: with W = H_{n_max}^T = QR
+    (R from the blocked reduction of ``_tall_r``), H_n^T stacks W[:, :n]
+    on the n_max - n trailing windows E_0..E_{n_max-n-1} (E_i starts at
+    sample L - n_max + 1 + i).  Q has orthonormal columns, R's rows from
+    n on are zero in its first n columns, and row order does not change
+    singular values, so H_n shares its singular values with the
+    n_max x n view z[..., n - 1 : n - 1 + n_max, :n] of
+    z = [E_{n_max-2}; ...; E_0; R], built once.  In a cut sweep every E_i
+    lies in the n_max - 1 zeros, so H_n shares its singular values with
+    R[:n, :n] alone (Chan, ACM TOMS 8(1), 1982), and ``_leading_blocks``
+    makes the points.
+    """
+    y, size = route.y, route.y.shape[-1]
+    if route.kept < size:
+        y = np.concatenate([y[..., : route.kept], np.zeros(y.shape[:-1] + (n_max - 1,))], axis=-1)
+    if route.exponents.any():
+        y = np.ldexp(y, -route.exponents[..., None])
     length = y.shape[-1]
-    rows = length - n_max + 1
     ns = range(n_min, n_max + 1)
-    tall = columns == "all" and (rows >= _TALL_ROWS_PER_COL * n_max or rows >= n_max >= _TALL_N_MAX)
+    tall = route.path in ("gram", "cut", "tall")
     if tall:
         r = _tall_r(_windows(y, n_max))
-        if cut:
-            return _leading_blocks(r, ns, size), exponents
+        if route.path == "cut":
+            return _leading_blocks(r, ns, size)
     # padded[..., k] = y[..., k] for k < length and 0 beyond, so windows may run past the end
     padded = np.concatenate([y, np.zeros(y.shape[:-1] + (n_max,))], axis=-1)
     if tall:
-        trailing = _windows(padded, n_max)[..., rows : rows + n_max - 1, :]
-        z = np.concatenate([trailing[..., ::-1, :], r], axis=-2)
-        return [((n, size - n + 1), z[..., n - 1 : n - 1 + n_max, :n]) for n in ns], exponents
-    windows = _windows(padded, length)  # windows[..., i, j] = y[..., i + j] while i + j < length
-    if columns == "square":
-        return [((n, n), windows[..., :n, :n]) for n in ns], exponents
-    return [((n, size - n + 1), windows[..., :n, : length - n + 1]) for n in ns], exponents
+        # z = [E_{n_max-2}; ...; E_0; R]: the trailing windows, the last first, then R
+        z = np.concatenate([_windows(padded, n_max)[..., length - 1 : length - n_max : -1, :], r], axis=-2)[None]
+        return [([(n, size - n + 1)], z[..., n - 1 : n - 1 + n_max, :n]) for n in ns]
+    windows = _windows(padded, length)[None]  # windows[0, ..., i, j] = y[..., i + j] while i + j < length
+    if route.path == "square":
+        return [([(n, n)], windows[..., :n, :n]) for n in ns]
+    return [([(n, size - n + 1)], windows[..., :n, : length - n + 1]) for n in ns]
 
 
 def _leading_blocks(r: np.ndarray, ns: range, size: int) -> list:
-    """The points of a cut tall sweep of rows of L = size samples, from
-    the (..., n_max, n_max) R factor of its window matrix: R masked to
-    its leading n x n block, in a p x p matrix, p = ceil(n_max / 2) for
-    n <= p and n_max beyond; its other singular values are 0."""
+    """The point groups of a cut tall sweep of rows of L = size samples,
+    from the (..., n_max, n_max) R factor of its window matrix: each point
+    is R masked to its leading n x n block in a p x p matrix (its other
+    values are 0), p = ceil(n_max / 2) for n <= p and n_max beyond."""
     n_max = r.shape[-1]
     half = (n_max + 1) // 2
-    points = []
+    groups = []
     for group, p in ((range(ns.start, half + 1), half), (range(max(ns.start, half + 1), ns.stop), n_max)):
         if group:
             # R is upper triangular, so keeping its first n columns keeps only its leading n x n block
             lead = np.arange(p) < np.arange(group.start, group.stop).reshape((-1,) + (1,) * r.ndim)
-            blocks = np.where(lead, r[..., :p, :p], 0.0)
-            points += [((n, size - n + 1), matrices) for n, matrices in zip(group, blocks)]
-    return points
+            groups.append(([(n, size - n + 1) for n in group], np.where(lead, r[..., :p, :p], 0.0)))
+    return groups
 
 
-def _decide_points(points: list, exponents: np.ndarray, policy: RankPolicy | None = None) -> _Decisions:
-    """The decisions, arrays of shape (points, k), at the points of
+def _decide_points(groups: list, exponents: np.ndarray, policy: RankPolicy | None = None) -> _Decisions:
+    """The decisions, arrays of shape (points, k), at the point groups of
     ``_sweep_points`` of k rows scaled by 2^-exponents: one LAPACK SVD
-    call for the whole stack per run of consecutive points whose
-    matrices share a shape (each matrix gets bit for bit the singular
-    values of a call on it alone; only a cut tall sweep has such runs),
-    then one ``_decide`` call on the first min(shape) singular values of
-    every point, zero-padded into a (points, k, m_max + 1) array; column
-    j is row j's sweep.  ``policy`` None means the per-matrix default cut
-    max(rows, cols) * eps."""
-    lengths = [min(shape) for shape, _ in points]
+    call per group (each matrix gets bit for bit the singular values of a
+    call on it alone), then one ``_decide`` call on the first min(shape)
+    singular values of every point, zero-padded into a
+    (points, k, m_max + 1) array; column j is row j's sweep.  ``policy``
+    None means the per-matrix default cut max(rows, cols) * eps."""
+    shapes = [shape for group, _ in groups for shape in group]
+    lengths = [min(shape) for shape in shapes]
     # zero padding, at least one column, so that even an empty sweep has a gap-policy pair
-    spectra = np.zeros((len(points), len(exponents), max(lengths, default=1) + 1))
+    spectra = np.zeros((len(shapes), len(exponents), max(lengths, default=1) + 1))
     start = 0
-    for stop in range(1, len(points) + 1):
-        if stop < len(points) and points[stop][1].shape == points[start][1].shape:
-            continue
-        if stop - start == 1:  # as it is, without the copy np.stack makes
-            values = np.linalg.svd(points[start][1], compute_uv=False)
-            spectra[start, :, : lengths[start]] = values[..., : lengths[start]]
-        else:
-            values = np.linalg.svd(np.stack([matrices for _, matrices in points[start:stop]]), compute_uv=False)
-            for i, v in enumerate(values, start):
-                spectra[i, :, : lengths[i]] = v[..., : lengths[i]]
-        start = stop
-    kind, value = _cut(policy, [shape for shape, _ in points], exponents)
+    for group, stack in groups:
+        values = np.linalg.svd(stack, compute_uv=False)
+        for i, m in enumerate(lengths[start : start + len(group)]):
+            spectra[start + i, :, :m] = values[i, :, :m]
+        start += len(group)
+    kind, value = _cut(policy, shapes, exponents)
     return _decide(spectra, np.array(lengths, dtype=int)[:, None], kind, value)
 
 
@@ -429,35 +446,17 @@ def _certified(eigs: np.ndarray, ns: np.ndarray, size: int, norms: np.ndarray, k
     return (sure == possible) & (delta < 1.0)
 
 
-def _gram_decisions(samples: np.ndarray, n_max: int, policy: RankPolicy | None, n_min: int) -> _Decisions | None:
-    """The decisions of ``_decide_points`` for the "all" sweep of a
-    (k, L) stack, read off the sweep's Gram eigenvalues where every point
-    of every row is certified (``_certified``), else None.
-
-    Only long rows whose sweeps nothing would cut try it: rows
-    L - n_max + 1 >= 16 n_max, a threshold policy (or None), and in every
-    row max|y[-n_max:]| > sqrt(u) max|y| (so the tail rule of
-    ``_sweep_points`` keeps the row whole), as noise of about 1e-8 max|y|
-    or more keeps it; a clean decaying row leaves after O(n_max) work.
-    Rows are scaled by 2^-e, e the binary exponent of max|y|, so every
-    Gram entry is at most L.  The n_max point is certified first, from
-    one eigvalsh call; the others, from one more, only if it is."""
-    y = np.ascontiguousarray(samples, dtype=float)
-    size = y.shape[-1]
-    if (policy is not None and policy.kind == GAP) or not (
-        y.size and 1 <= n_min <= n_max and size - n_max + 1 >= _TALL_ROWS_PER_COL * n_max
-    ):
-        return None
-    last = np.abs(y[:, -n_max:]).max(axis=-1)
-    # max|y[:n_max]| <= max|y|, so this O(k n_max) test rejects a decayed row before the O(k L) one
-    if not (last > _GRAM_TAIL * np.abs(y[:, :n_max]).max(axis=-1)).all():
-        return None
-    top = np.abs(y).max(axis=-1)
-    if not (last > _GRAM_TAIL * top).all():
-        return None
-    exponents = np.frexp(top)[1]
+def _gram_decisions(route: _Route, n_max: int, policy: RankPolicy | None, n_min: int) -> _Decisions | None:
+    """The decisions of a "gram" route's sweep under a threshold policy
+    (or None), read off its Gram eigenvalues where every point of every
+    row is certified (``_certified``), else None.  Rows are scaled by
+    2^-e, e the binary exponent of max|y|, so every Gram entry is at most
+    L.  The n_max point is certified first, from one eigvalsh call; the
+    others, from one more, only if it is."""
+    size = route.y.shape[-1]
+    exponents = np.frexp(route.top)[1]
     ns = np.arange(n_min, n_max + 1)
-    grams, norms = _gram_stack(np.ldexp(y, -exponents[:, None]), ns)
+    grams, norms = _gram_stack(np.ldexp(route.y, -exponents[:, None]), ns)
     kind, value = _cut(policy, [(n, size - n + 1) for n in ns], exponents)
     value = np.broadcast_to(value, grams.shape[:2])
     eigs = np.empty(grams.shape[:-1])
@@ -474,20 +473,26 @@ def _gram_decisions(samples: np.ndarray, n_max: int, policy: RankPolicy | None, 
     return _decide(spectra, ns[:, None], kind, value)
 
 
+def _sweep(samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None = None, n_min: int = 2) -> _Decisions:
+    """The decisions, arrays of shape (points, k), of the sweep
+    n = n_min..n_max of each row of a (k, L) stack of finite samples (k
+    may be 0) on the path ``_route`` names: from the Gram eigenvalues
+    where ``_gram_decisions`` certifies a "gram" route under a threshold
+    policy, else from the points of ``_sweep_points``."""
+    route = _route(samples, n_max, columns, n_min)
+    if route.path == "gram" and (policy is None or policy.kind != GAP):
+        if (decided := _gram_decisions(route, n_max, policy, n_min)) is not None:
+            return decided
+    return _decide_points(_sweep_points(route, n_max, n_min), route.exponents, policy)
+
+
 def _rank_sweeps(
     samples: np.ndarray, n_max: int, columns: str, policy: RankPolicy | None, n_min: int = 2
 ) -> list[RankSweep]:
-    """The sweep over n = n_min..n_max of each row of a (k, L) stack of
-    finite samples (k may be 0), decided in one pass, as one RankSweep
-    per row: from the Gram eigenvalues where ``_gram_decisions`` certifies
-    the whole sweep, else from the points of ``_sweep_points``
-    (``_decide_points``), which checks the arguments."""
-    decided = _gram_decisions(samples, n_max, policy, n_min) if columns == "all" else None
-    if decided is None:
-        decided = _decide_points(*_sweep_points(samples, n_max, columns, n_min), policy)
-    ns = range(n_min, n_max + 1)
+    """The decisions of ``_sweep`` as one RankSweep per row."""
+    decided = _sweep(samples, n_max, columns, policy, n_min)
     return [
-        RankSweep(tuple(map(SweepPoint, ns, r, g, c)))
+        RankSweep(tuple(map(SweepPoint, range(n_min, n_max + 1), r, g, c)))
         for r, g, c in zip(decided.rank.T.tolist(), decided.gap.T.tolist(), decided.condition.T.tolist())
     ]
 
@@ -504,10 +509,11 @@ def _plateau_onsets(samples: np.ndarray, n_max: int) -> list[int]:
     exceeds min(shape) of the next n's matrix leaves without an SVD
     there: a decision counts at most min(shape) singular values, so that
     rank cannot recur.  Each step is one stacked SVD of the live rows'
-    views of the full sweep of ``_sweep_points`` (the dense or tall path
-    chosen by n_max, as in ``_rank_sweeps``), and every decision is the
+    views of the full sweep of ``_sweep_points`` on the path ``_route``
+    names (a "gram" route is swept "tall"), and every decision is the
     one ``_rank_sweeps`` makes at the default cut, bit for bit."""
-    points, exponents = _sweep_points(samples, n_max, "all")
+    route = _route(samples, n_max, "all", 2)
+    points = [point for group in _sweep_points(route, n_max, 2) for point in zip(*group)]
     onsets = np.full(len(samples), n_max)
     live, final = np.arange(len(samples)), None
     for shape, matrices in reversed(points):
@@ -517,7 +523,7 @@ def _plateau_onsets(samples: np.ndarray, n_max: int) -> list[int]:
             live, final = live[fits], final[fits]
         if not live.size:
             break
-        ranks = _decide_points([(shape, matrices[live])], exponents[live]).rank[0]
+        ranks = _decide_points([([shape], matrices[None, live])], route.exponents[live]).rank[0]
         final = ranks if final is None else final
         keep = ranks == final
         live, final = live[keep], final[keep]
@@ -545,38 +551,31 @@ def hokalman_order(
     are all equal; otherwise the result is inconclusive and the full
     sweep is returned for inspection.  The default policy is the
     per-matrix relative threshold max(rows, cols) * eps.  A signal whose
-    sweep could leave float range is swept as y 2^-e (``_sweep_points``).
+    sweep could leave float range is swept as y 2^-e (``_route``).
 
-    Three paths decide the sweep, tried in this order:
+    Four paths decide the sweep, in the order ``_route`` tries them:
 
-    - Gram (``_gram_decisions``): with L - n_max + 1 >= 16 n_max rows, a
-      threshold policy, and last n_max samples that reach sqrt(u) max|y|
-      (noise of about 1e-8 max|y| or more), n_max lag sums give every H_n H_n^T and one
-      batched ``eigvalsh`` their eigenvalues lambda_i.  Where a Weyl bound
+    - Gram (``_gram_decisions``): long rows whose last n_max samples
+      reach sqrt(u) max|y| (noise of about 1e-8 max|y| or more), under a
+      threshold policy.  n_max lag sums give every H_n H_n^T and one
+      batched ``eigvalsh`` their eigenvalues lambda_i; where a Weyl bound
       certifies every point's rank as the exact one at its cut, the sweep
       is decided from sigma_i = sqrt(lambda_i), each within a relative
-      delta_n / (2 lambda_i) (``_gram_error``); otherwise a path below runs.
-    - Tall: sweeps with L - n_max + 1 >= 16 n_max rows, or with
-      n_max >= 16 and L - n_max + 1 >= n_max, factor H_{n_max}^T once, by
-      a blocked tall-skinny QR (``_tall_r``), and take each spectrum from
-      a small n_max x n matrix with the same singular values.  Where the
-      tail rule below cuts the sweep, that matrix is R's leading n x n
-      block, zero-padded to one of two sizes, so that one LAPACK call
-      decomposes every point of a size.
+      delta_n / (2 lambda_i) (``_gram_error``), and otherwise it is tall.
+    - Cut: a long row whose decaying tail lies below one rounding unit of
+      sigma_1 factors only its head (2,802 rows for a clean ``gen_y5``
+      sweep to n_max = 20 at any longer L) and reads each spectrum off a
+      leading block of one R factor.
+    - Tall: where L - n_max + 1 >= 16 n_max, or >= n_max >= 16, one
+      blocked tall-skinny QR (``_tall_r``) of H_{n_max}^T, and each
+      spectrum from a small n_max x n matrix with the same singular values.
     - Dense: everything else runs one dense SVD per n.
 
-    All give the same ranks on every tested input, though on the tall and
-    dense paths a singular value within rounding of the cut can decide
-    differently.  Past the rank, sigma_{r+1} and sigma_min sit at the
-    rounding floor, so ``gap`` and ``condition`` there differ between
-    the paths by more than the last bits.
-
-    A decaying tail below one rounding unit of sigma_1 is not factored
-    (``_sweep_points``): a clean ``gen_y5`` sweep to n_max = 20 factors
-    2,802 rows at any longer L.  There, too, ``gap`` and ``condition``
-    past the rank read the rounding floor, that of the kept head's
-    leading R blocks, so they differ by more than the last bits from
-    those of the n_max x n matrices an uncut sweep decomposes.
+    All give the same ranks on every tested input, though a singular
+    value within rounding of the cut can decide differently.  Past the
+    rank, sigma_{r+1} and sigma_min sit at the rounding floor, so ``gap``
+    and ``condition`` there differ between the paths, and between a cut
+    and an uncut sweep, by more than the last bits.
     """
     _check_sweep_length(len(signal), n_max)
     [sweep] = _rank_sweeps(signal.samples[None], n_max, "all", policy)

@@ -27,7 +27,7 @@ from .estimators import (
     _decide_points,
     _order_str,
     _plateau_onsets,
-    _sweep_points,
+    _sweep,
     _sweep_section,
     aic_order,
     covariance_determinants,
@@ -112,7 +112,7 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
     )
     samples = _noisy_rows(np.array([cleans[q] for _, q in grid]).reshape(len(grid), count), noises)
     ns = list(range(params["n_min"], n_max + 1))
-    ranks = _decide_points(*_sweep_points(samples, n_max, "square", params["n_min"])).rank
+    ranks = _sweep(samples, n_max, "square", n_min=params["n_min"]).rank
     # each grid signal's sweep n = n_min..n_max, in grid order
     rows = zip(
         [levels[i] for i, _ in grid for _ in ns],
@@ -130,7 +130,7 @@ def _run_fig3(params: dict, seed: int) -> tuple[str, list[Section]]:
         if q in grid_ranks:
             return grid_ranks[q]
         clean = gen_mode_sum(pole_pair_modes(p, q), count).samples
-        return int(_decide_points(*_sweep_points(clean[None], n_max, "square", n_min=n_max)).rank[0, 0])
+        return int(_sweep(clean[None], n_max, "square", n_min=n_max).rank[0, 0])
 
     q0 = next((q for q in range(1, params["q_scan_max"] + 1) if clean_rank(q) < 2), None)
     headline = f"q0={q0 if q0 is not None else 'none'}"
@@ -285,7 +285,7 @@ def _run_sec33(params: dict, seed: int) -> tuple[str, list[Section]]:
     y, u = gen_nonhomogeneous(params["count"], params["sample_period"])
     matrices = [build_hankel(y, n).entries] + [build_augmented(y, u, n, side).entries for side in (BOTTOM, RIGHT)]
     # one decision for the three matrices of one unscaled row, each at its default cut max(shape) * eps
-    decided = _decide_points([(m.shape, m[None]) for m in matrices], np.zeros(1, dtype=int))
+    decided = _decide_points([([m.shape], m[None, None]) for m in matrices], np.zeros(1, dtype=int))
     unaug, bottom, right = decided.rank[:, 0].tolist()
     rows = [
         ("unaugmented", n, n, unaug),
@@ -322,7 +322,7 @@ def _run_offset(params: dict, seed: int) -> tuple[str, list[Section]]:
     _check_sweep_length(count, n_max)  # onsets need every n x n matrix, as in hokalman_order
     onsets = _plateau_onsets(samples[2:], n_max)
     ns = list(range(2, n_max + 1))
-    plain, offset = _decide_points(*_sweep_points(samples[:2], n_max, "all")).rank.T.tolist()
+    plain, offset = _sweep(samples[:2], n_max, "all").rank.T.tolist()
     rows_free = zip(["plain"] * len(ns) + ["offset"] * len(ns), ns * 2, plain + offset)
     on_plain, on_offset = onsets[::2], onsets[1::2]
     favourable = sum(o <= p for p, o in zip(on_plain, on_offset))
@@ -340,7 +340,7 @@ def _run_echelon(params: dict, seed: int) -> tuple[str, list[Section]]:
     base = gen_mode_sum(ModeSum([Mode(1.0, params["q"])]), count)
     amp = _noise_amplitude(base.samples, params["snr_db"])
     noisy = add_noise(base, NoiseSpec(amp, seed))
-    ranks = _decide_points(*_sweep_points(noisy.samples[None], params["n_max"], "all")).rank
+    ranks = _sweep(noisy.samples[None], params["n_max"], "all").rank
     rows = []
     for n, rank in enumerate(ranks[:, 0].tolist(), start=2):
         mat = build_rectangular_hankel(noisy, n, count - n + 1)

@@ -371,10 +371,19 @@ class TestExperiment:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_override_without_a_value_exits_two_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, extras, token",
+        [
+            ("fig2_first_order", ["--n-max"], "--n-max"),
+            # --key=value is one token, so its value would be the next key
+            ("fig3_pole_proximity", ["--n-max=2", "--n-min=3"], "--n-max=2"),
+            ("fig3_pole_proximity", ["--n-max", "--n-min", "3"], "--n-max"),
+        ],
+    )
+    def test_override_without_a_value_exits_two_with_one_line(self, tmp_path, capsys, name, extras, token):
         out = tmp_path / "x.csv"
-        assert main(["experiment", "fig2_first_order", "--out", str(out), "--n-max"]) == 2
-        assert capsys.readouterr().err == "error: cannot parse experiment override '--n-max'; use --key value\n"
+        assert main(["experiment", name, "--out", str(out), *extras]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse experiment override '{token}'; use --key value\n"
         assert not out.exists()
 
     def test_fig5_with_too_few_digits_exits_two_with_one_line(self, tmp_path, capsys):

@@ -39,6 +39,7 @@ from hankelorder import (
     gen_y5,
     hokalman_order,
     list_experiments,
+    pole_pair_modes,
     run_experiment,
     write_aic_csv,
     write_covdet_csv,
@@ -165,6 +166,13 @@ def _force_factored(m) -> None:
     m.setattr(estimators, "_gram_decisions", lambda *args: None)
 
 
+def _points(samples, n_max, columns="all", n_min=2) -> list:
+    """(shape, matrices) of each point of the sweep of a (k, L) stack,
+    taken out of the (shapes, stack) groups of its routed path."""
+    route = estimators._route(samples, n_max, columns, n_min)
+    return [point for group in estimators._sweep_points(route, n_max, n_min) for point in zip(*group)]
+
+
 def _dense_sweep(signal, n_max, policy, monkeypatch):
     with monkeypatch.context() as m:
         _force_dense(m)
@@ -179,10 +187,9 @@ class TestTallSweep:
         y, count = signal.samples, len(signal)
         assert _is_tall(count, n_max)
         hankels = {n: sliding_window_view(y, count - n + 1) for n in range(2, n_max + 1)}
-        points, _ = estimators._sweep_points(y, n_max, "all")
-        for (n, _), small in points:
+        for (n, _), small in _points(y[None], n_max):
             dense = np.linalg.svd(hankels[n], compute_uv=False)
-            tall = np.linalg.svd(small, compute_uv=False)[:n]
+            tall = np.linalg.svd(small[0], compute_uv=False)[:n]
             assert np.max(np.abs(tall - dense)) <= 1e-13 * dense[0], n
         for policy in POLICIES:
             _, tall = hokalman_order(signal, n_max, policy)
@@ -345,11 +352,11 @@ class TestTallSweep:
     def test_tall_matrices_are_views_of_one_array(self, count, n_max):
         y = np.array([gen_y5(count).samples, add_noise(gen_y5(count), NoiseSpec(1e-6, 1)).samples])
         assert _is_tall(count, n_max)
-        points, _ = estimators._sweep_points(y, n_max, "all")
-        z = points[0][1].base
+        groups = estimators._sweep_points(estimators._route(y, n_max, "all", 2), n_max, 2)
+        z = groups[0][1].base
         assert z.shape == (2, 2 * n_max - 1, n_max) and z.flags.owndata
-        for (n, cols), matrix in points:
-            assert matrix.base is z and matrix.shape == (2, n_max, n) and cols == count - n + 1
+        for [(n, cols)], stack in groups:
+            assert stack.base is z and stack.shape == (1, 2, n_max, n) and cols == count - n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,27 +364,18 @@ class TestTallSweep:
 
 
 def _swept_lengths(monkeypatch) -> list:
-    """Record (L, swept length) for each sweep of the kernel: L, unless
-    ``_tail_start`` returned a K with K + n_max - 1 < L, which cuts the
+    """Record (L, swept length) for each sweep ``_route`` routes: L,
+    unless its tail rule keeps a K with K + n_max - 1 < L, which cuts the
     sweep to y[:K] and n_max - 1 zeros."""
-    sweep_points, tail_start, records = estimators._sweep_points, estimators._tail_start, []
+    route, records = estimators._route, []
 
     def recording(samples, n_max, *args):
-        size = np.shape(samples)[-1]
-        swept = [size]
+        routed = route(samples, n_max, *args)
+        size = routed.y.shape[-1]
+        records.append((size, min(routed.kept + n_max - 1, size)))
+        return routed
 
-        def recording_tail(*tail_args):
-            start = tail_start(*tail_args)
-            swept.append(min(start + n_max - 1, size))
-            return start
-
-        with monkeypatch.context() as m:
-            m.setattr(estimators, "_tail_start", recording_tail)
-            points = sweep_points(samples, n_max, *args)
-        records.append((size, swept[-1]))
-        return points
-
-    monkeypatch.setattr(estimators, "_sweep_points", recording)
+    monkeypatch.setattr(estimators, "_route", recording)
     return records
 
 
@@ -447,7 +445,7 @@ class TestNegligibleTail:
         y, size = signal.samples, len(signal)
         with pytest.MonkeyPatch.context() as m:
             records = _swept_lengths(m)
-            points, _ = estimators._sweep_points(y, n_max, "all")
+            points = _points(y[None], n_max)
         [(_, swept)] = records
         event(("cut, " if swept < size else "kept, ") + ("tall" if _is_tall(swept, n_max) else "dense"))
         _, sweep = hokalman_order(signal, n_max)
@@ -456,7 +454,7 @@ class TestNegligibleTail:
             full = np.linalg.svd(sliding_window_view(y, cols), compute_uv=False)
             # the tall path's tolerance, plus what the cut tail can move
             tol = (1e-13 + EPS / 2) * full[0]
-            assert np.all(np.abs(np.linalg.svd(matrix, compute_uv=False)[: len(full)] - full) <= tol), n
+            assert np.all(np.abs(np.linalg.svd(matrix[0], compute_uv=False)[: len(full)] - full) <= tol), n
             cut = max(n, cols) * EPS * full[0]
             if np.all(np.abs(full - cut) > tol):
                 assert point.rank == np.count_nonzero(full > cut), n
@@ -557,7 +555,7 @@ class TestNegligibleTail:
         stack = np.array([signal.samples[:size] for signal, _ in inputs])
         with pytest.MonkeyPatch.context() as m:
             records = _swept_lengths(m)
-            estimators._sweep_points(stack, n_max, "all")
+            estimators._route(stack, n_max, "all", 2)
         assert records == [(size, _full_sum_swept(stack, n_max))]
 
     @pytest.mark.parametrize("head", [1000, 1023, 1024, 1025, 2048, 4090, 4999])
@@ -610,10 +608,13 @@ class TestLeadingBlocks:
 
     def test_points_are_leading_blocks_of_at_most_two_sizes(self):
         n_max = 20
-        points, _ = estimators._sweep_points(gen_y5(20_000).samples[None], n_max, "all")
-        r = points[-1][1][0]
+        y = gen_y5(20_000).samples[None]
+        groups = estimators._sweep_points(estimators._route(y, n_max, "all", 2), n_max, 2)
+        # the two stacks of _leading_blocks, one SVD call each
+        assert [stack.shape for _, stack in groups] == [(9, 1, 10, 10), (10, 1, 20, 20)]
+        r = groups[-1][1][-1, 0]
         assert np.array_equal(r, np.triu(r))
-        for (n, cols), matrices in points:
+        for (n, cols), matrices in _points(y, n_max):
             size = 10 if n <= 10 else 20
             assert cols == 20_001 - n and matrices.shape == (1, size, size)
             block = np.zeros((size, size))
@@ -628,9 +629,10 @@ class TestLeadingBlocks:
 
     def test_empty_stack(self):
         empty = np.empty((0, 20_000))
-        points, exponents = estimators._sweep_points(empty, 20, "all")
-        assert [matrices.shape for _, matrices in points] == [(0, 10, 10)] * 9 + [(0, 20, 20)] * 10
-        assert exponents.shape == (0,)
+        route = estimators._route(empty, 20, "all", 2)
+        groups = estimators._sweep_points(route, 20, 2)
+        assert [stack.shape for _, stack in groups] == [(9, 0, 10, 10), (10, 0, 20, 20)]
+        assert route.path == "cut" and route.exponents.shape == (0,)
         assert estimators._rank_sweeps(empty, 20, "all", None) == []
         assert estimators._plateau_onsets(empty, 20) == []
 
@@ -720,7 +722,8 @@ class TestGramSweep:
     @example((_noisy_y5(1000, 1e-4).samples, 12, RankPolicy.absolute(1e-3)))
     def test_gram_ranks_equal_the_tall_and_dense_ranks(self, inputs):
         y, n_max, policy = inputs
-        gram = estimators._gram_decisions(y[None], n_max, policy, 2)
+        route = estimators._route(y[None], n_max, "all", 2)
+        gram = estimators._gram_decisions(route, n_max, policy, 2) if route.path == "gram" else None
         event("gram" if gram is not None else "factored")
         if gram is None:
             return
@@ -782,6 +785,34 @@ class TestGramSweep:
             got = hokalman_order(Signal(np.ldexp(y, k)), 20, policy)[1].points
         assert got == want
         assert calls == {"eigvalsh": 4, "svd": 0, "_tall_r": 0}
+
+
+# name: (signal, n_max, columns, the path _route names, _tail_start calls, what _sweep then runs)
+ROUTED = {
+    "fig3_square": (lambda: gen_mode_sum(pole_pair_modes(10.0, 1), 40), 8, "square", "square", 0, (0, 7, 0)),
+    "y5_L40": (lambda: gen_y5(40), 8, "all", "dense", 0, (0, 7, 0)),
+    "fig4": (lambda: gen_high_order("sinusoid", 50, 119, 1), 60, "all", "tall", 0, (0, 59, 1)),
+    "y5_L20000": (lambda: gen_y5(20_000), 20, "all", "cut", 1, (0, 2, 1)),
+    "y5_L20000_noisy": (lambda: _noisy_y5(20_000), 20, "all", "gram", 0, (2, 0, 0)),
+    # the Gram certificate fails at n_max, and the sweep is factored "tall"
+    "y5_L20000_noise1e-8": (lambda: _noisy_y5(20_000, 1e-8), 20, "all", "gram", 0, (1, 19, 1)),
+    "sinusoid_L20000": (lambda: gen_mode_sum(ModeSum([Mode(1.0, 0.0, 0.3)]), 20_000), 20, "all", "gram", 0, (1, 19, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_route_names_the_path_each_sweep_takes(name, monkeypatch):
+    build, n_max, columns, path, scans, (eigvalsh, svd, tall_r) = ROUTED[name]
+    samples = build().samples[None]
+    tail_start, scanned = estimators._tail_start, []
+    monkeypatch.setattr(estimators, "_tail_start", lambda *args: scanned.append(args) or tail_start(*args))
+    route = estimators._route(samples, n_max, columns, 2)
+    assert (route.path, len(scanned)) == (path, scans)
+    with _routes() as calls:
+        decided = estimators._sweep(samples, n_max, columns)
+    assert calls == {"eigvalsh": eigvalsh, "svd": svd, "_tall_r": tall_r}
+    assert len(scanned) == 2 * scans
+    assert decided.rank[:, 0].tolist() == estimators._rank_sweeps(samples, n_max, columns, None)[0].ranks
 
 
 STACK_SIGNALS = [gen_y5(40), add_offset(gen_y5(40), 1.0)] + [
@@ -882,7 +913,7 @@ def _per_n_sweeps(samples, n_max, columns, policy, n_min):
         exponents.append(math.frexp(top)[1] if top * math.sqrt(n_max * y.size) >= sys.float_info.max / 16 else 0)
     scaled = np.array([np.ldexp(y, -e) for y, e in zip(samples, exponents)]).reshape(samples.shape)
     points = [[] for _ in range(len(samples))]
-    for shape, matrices in estimators._sweep_points(scaled, n_max, columns, n_min)[0]:
+    for shape, matrices in _points(scaled, n_max, columns, n_min):
         spectra = np.linalg.svd(matrices, compute_uv=False)[..., : min(shape)]
         cut = policy or default_policy(shape)
         values = [math.ldexp(cut.value, -e) if cut.kind == "absolute_threshold" else cut.value for e in exponents]
@@ -1038,6 +1069,8 @@ def _decided_stacks():
 
 @settings(max_examples=400, deadline=None)
 @given(_sweep_inputs(gram=True))
+# an empty sweep of long noisy rows, n_min = n_max + 1, has no Gram points
+@example((np.array([_noisy_y5(400).samples, _noisy_y5(400, seed=2).samples]), 12, "all", None, 13))
 def test_every_stack_a_sweep_decides_is_a_valid_spectrum(inputs):
     samples, n_max, columns, policy, n_min = inputs
     with _decided_stacks() as stacks:
@@ -1124,7 +1157,7 @@ def test_plateau_onsets_decide_only_down_to_the_first_rank_change(monkeypatch):
     # y5 rows leave at n = 4 without an SVD: 4 values cannot hold rank 5.
     samples = np.array([gen_y5(40).samples, np.full(40, 2.0), gen_y5(40).samples])
     assert estimators._plateau_onsets(samples, 8) == [5, 2, 5]
-    assert matrices == [(3, n, 41 - n) for n in range(8, 4, -1)] + [(1, n, 41 - n) for n in (4, 3, 2)]
+    assert matrices == [(1, 3, n, 41 - n) for n in range(8, 4, -1)] + [(1, 1, n, 41 - n) for n in (4, 3, 2)]
 
 
 @pytest.mark.parametrize("size", [40, 200])  # dense and tall paths
@@ -1140,8 +1173,8 @@ def test_full_rank_rows_are_decided_at_n_max_only(monkeypatch, size):
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert estimators._plateau_onsets(samples, 10) == want == [10] * 5
     # one SVD of the 5 matrices at n = 10 (the tall path's QR calls come before it)
-    [(k, rows, cols)] = calls
-    assert k == 5 and min(rows, cols) == 10
+    [(points, k, rows, cols)] = calls
+    assert (points, k) == (1, 5) and min(rows, cols) == 10
 
 
 # ---------------------------------------------------------------------------

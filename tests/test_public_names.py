@@ -128,6 +128,41 @@ def test_every_private_function_is_read_in_src():
     assert [name for name in defined if not any(name in read for owner, read in reads if owner != name)] == []
 
 
+# the gates that pick a sweep's path, and the tail scan
+_GATES = {"_GRAM_TAIL", "_TALL_ROWS_PER_COL", "_TALL_N_MAX", "_tail_start"}
+
+
+def _gate_readers(trees: list[ast.Module]) -> list[str]:
+    """Every function other than ``_route`` that reads a name of
+    ``_GATES``, as ``function:name``."""
+    return sorted(
+        f"{node.name}:{name}"
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name != "_route"
+        for name in _reads(node) & _GATES
+    )
+
+
+def test_only_the_route_tests_the_sweep_gates():
+    """``_route`` is the one place that picks a sweep's path: no other
+    function reads its thresholds or runs the tail scan, so the paths
+    cannot drift apart on them."""
+    sample = ast.parse(
+        "def _route(y):\n"
+        "    return _tail_start(y) < _TALL_N_MAX\n"
+        "def _sweep_points(route):\n"
+        "    return estimators._TALL_ROWS_PER_COL\n"
+    )
+    assert _gate_readers([sample]) == ["_sweep_points:_TALL_ROWS_PER_COL"]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "src").rglob("*.py"))]
+    [route] = [
+        node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_route"
+    ]
+    assert _GATES <= _reads(route)
+    assert _gate_readers(trees) == []
+
+
 _DECIDERS = {"_decide", "_decide_one", "_decide_points"}
 
 
